@@ -8,7 +8,7 @@ Library layout:
   state, analytic weak-probe coherence and populations.
 * :mod:`eitats.spectra` - exact transmission lineshape, reduced
   difference/doublet models, pole parameters, transparency window.
-* :mod:`eitats.fitting` - Levenberg-Marquardt fits of all model families.
+* :mod:`eitats.fitting` - separable least-squares fits of all model families.
 * :mod:`eitats.model_selection` - information-criterion weights, seeded
   sweeps, threshold extraction.
 * :mod:`eitats.readout` - dispersive shifts and composite cavity transmission.

@@ -35,9 +35,11 @@ from .fitting import (
     fit_lorentzian,
 )
 from .io_utils import (
+    TWO_PI_MHZ,
     atomic_write_text,
     fmt,
     read_spectrum_csv,
+    read_trace_csv,
     write_json_report,
     write_spectrum_csv,
     write_table_csv,
@@ -56,7 +58,6 @@ from .spectra import ComplexRoots, ImaginarySplitting, Spectrum
 from .synth import cell_rng
 from .transmon import CutoffConvergenceError, circulating_current_coupling, diagonalize, selection_rule_sweep
 
-TWO_PI_MHZ = 2.0 * math.pi * 1e6
 MHZ = 1e6
 
 NUMERICAL_ERRORS = (
@@ -222,8 +223,7 @@ def cmd_simulate(args, config: ExperimentConfig) -> int:
     write_spectrum_csv(out / "spectrum.csv", spectrum, prov)
 
     rates = config.three_level_rates()
-    drive = config.drive_config(config.drive.delta * config.unit_scale * 2.0 * math.pi,
-                                control_rad)
+    drive = config.drive_config(config.rad(config.drive.delta), control_rad)
     rho = steady_state(rates, drive)
     payload = {
         "populations": [rho[k, k].real for k in range(3)],
@@ -268,8 +268,11 @@ def _fit_result_payload(result, x_unit_scale: float) -> dict:
 
 
 def cmd_fit(args, config: ExperimentConfig) -> int:
-    spectrum = read_spectrum_csv(args.input)
-    data = Dataset(x=spectrum.detunings, y=spectrum.values)
+    if args.model == "damped_sinusoid":
+        data = Dataset(*read_trace_csv(args.input))
+    else:
+        spectrum = read_spectrum_csv(args.input)
+        data = Dataset(x=spectrum.detunings, y=spectrum.values)
     out = _outdir(args, config)
     prov = _provenance(config, f"fit --model {args.model}", None)
 
@@ -291,9 +294,8 @@ def cmd_fit(args, config: ExperimentConfig) -> int:
     elif args.model == "lorentzian":
         result = fit_lorentzian(data)
         payload = _fit_result_payload(result, TWO_PI_MHZ)
-    else:  # damped_sinusoid on a time trace (x column interpreted as ns)
-        trace = _read_trace_csv(args.input)
-        result = fit_damped_sinusoid(trace)
+    else:  # damped_sinusoid on a time trace in ns
+        result = fit_damped_sinusoid(data)
         payload = _fit_result_payload(result, 1.0)
     payload["model"] = args.model
     write_json_report(out / f"fit_{args.model}.json", payload, prov)
@@ -359,29 +361,12 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _read_trace_csv(path) -> Dataset:
-    times, values = [], []
-    with open(path, encoding="utf-8") as handle:
-        header_seen = False
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            left, _, right = line.partition(",")
-            times.append(float(left))
-            values.append(float(right))
-    return Dataset(x=np.array(times), y=np.array(values))
-
-
 def cmd_rabi(args, config: ExperimentConfig) -> int:
     config.require("rates", "drive")
     rates = config.three_level_rates()
     if config.drive.omega_p is None:
         raise ValidationError("drive.omega_p is not set", "drive.omega_p")
-    probe = config.drive.omega_p * config.unit_scale * 2.0 * math.pi
+    probe = config.rad(config.drive.omega_p)
     if probe <= 0:
         raise ValidationError("drive.omega_p must be > 0 for rabi", "drive.omega_p")
 
@@ -434,12 +419,13 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         return _COMMANDS[args.command](args, config)
-    except (ParseError, ValidationError, FileNotFoundError, ValueError) as exc:
-        print(f"eitats: error: {exc}", file=sys.stderr)
-        return 1
+    # before ValueError: np.linalg.LinAlgError subclasses it
     except NUMERICAL_ERRORS as exc:
         print(f"eitats: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except (ParseError, ValidationError, FileNotFoundError, ValueError) as exc:
+        print(f"eitats: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -135,7 +135,8 @@ class ExperimentConfig:
             if getattr(self, name) is None:
                 raise ValidationError(f"missing required config block '{name}'", name)
 
-    def _rad(self, value: float) -> float:
+    def rad(self, value: float) -> float:
+        """Angular frequency (rad/s) of a value in the file unit."""
         return value * self.unit_scale * TWO_PI
 
     def _hz(self, value: float) -> float:
@@ -145,12 +146,12 @@ class ExperimentConfig:
         self.require("rates")
         r = self.rates
         return ThreeLevelRates(
-            relax_10=self._rad(r.gamma10),
-            relax_20=self._rad(r.gamma20),
-            relax_21=self._rad(r.gamma21),
-            dephase_00=self._rad(r.dephasing00),
-            dephase_11=self._rad(r.dephasing11),
-            dephase_22=self._rad(r.dephasing22),
+            relax_10=self.rad(r.gamma10),
+            relax_20=self.rad(r.gamma20),
+            relax_21=self.rad(r.gamma21),
+            dephase_00=self.rad(r.dephasing00),
+            dephase_11=self.rad(r.dephasing11),
+            dephase_22=self.rad(r.dephasing22),
         )
 
     def drive_config(self, detuning_rad: float = 0.0,
@@ -159,23 +160,23 @@ class ExperimentConfig:
         if control_rad is None:
             if self.drive.omega_c is None:
                 raise ValidationError("drive.omega_c is not set", "drive.omega_c")
-            control_rad = self._rad(self.drive.omega_c)
+            control_rad = self.rad(self.drive.omega_c)
         if self.drive.omega_p is None:
             raise ValidationError("drive.omega_p is not set", "drive.omega_p")
-        return DriveConfig(control=control_rad, probe=self._rad(self.drive.omega_p),
+        return DriveConfig(control=control_rad, probe=self.rad(self.drive.omega_p),
                            detuning=detuning_rad)
 
     def detuning_grid_rad(self) -> np.ndarray:
         self.require("drive")
         span = self.drive.delta_span
-        span_rad = self._rad(span) if span is not None else TWO_PI * 25e6
+        span_rad = self.rad(span) if span is not None else TWO_PI * 25e6
         return np.linspace(-span_rad, span_rad, self.drive.delta_points)
 
     def control_grid_rad(self) -> np.ndarray:
         self.require("drive")
         if not self.drive.omega_c_grid:
             raise ValidationError("drive.omega_c_grid is not set", "drive.omega_c_grid")
-        return np.array([self._rad(v) for v in self.drive.omega_c_grid])
+        return np.array([self.rad(v) for v in self.drive.omega_c_grid])
 
     def transmon_spec(self) -> TransmonSpec:
         self.require("transmon")

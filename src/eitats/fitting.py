@@ -1,15 +1,14 @@
-"""Nonlinear least-squares fitting of spectra and time traces.
+"""Separable least-squares fitting of spectra and time traces.
 
-A damped Gauss-Newton minimizer (Levenberg-Marquardt trust parameter,
-central-difference Jacobian) drives all model fits: the exact transmission
-curve (control strength extraction), the reduced difference/doublet
-lineshapes used by the model discriminator, single Lorentzians for linewidth
-extraction, and exponentially damped sinusoids for time-domain oscillation
-traces.
-
-Positivity of widths and amplitudes is enforced by optimizing their
-logarithms; the doublet half-splitting stays linear so it can reach zero.
-Everything is deterministic: identical inputs give bit-identical results.
+Every model family is linear in its amplitudes and offsets once its one or
+two nonlinear parameters (control strength, widths, center, splitting, decay
+time, period) are fixed.  Each fit is therefore a variable projection (Golub &
+Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the linear coefficients come
+from a closed-form least-squares solve, non-negative where the model needs
+it; the best point of a fixed coarse grid over the nonlinear parameters is
+the start; and :func:`nlls_minimize` (Levenberg-Marquardt damped Gauss-Newton
+with a central-difference Jacobian) polishes only the nonlinear parameters,
+positive ones in log coordinates.  Identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -18,21 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import AtsModelParams, EitModelParams, ExactModelParams, ats_model, eit_model, tprime_exact
+from .spectra import ExactModelParams, tprime_exact
 
 __all__ = [
-    "Dataset",
-    "FitResult",
-    "SingularJacobian",
-    "nlls_minimize",
-    "fit_exact_tprime",
-    "fit_exact_tprime_auto",
-    "fit_eit_model",
-    "fit_ats_model",
-    "fit_lorentzian",
-    "fit_damped_sinusoid",
-    "lorentzian_curve",
-    "damped_sinusoid_curve",
+    "Dataset", "FitResult", "SingularJacobian", "nlls_minimize",
+    "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_lorentzian",
+    "fit_damped_sinusoid", "lorentzian_curve", "damped_sinusoid_curve",
 ]
 
 MAX_ITERATIONS = 500
@@ -40,6 +30,11 @@ FTOL = 1e-12
 GTOL = 1e-10
 FD_REL_STEP = 1e-6
 LOW_SIGNAL_FRACTION = 1e-4
+# Smallest relative width split gamma_plus/gamma_minus - 1 of the difference
+# form.  Above the window the best fit tends to coincident widths, which the
+# amplitudes can only follow by diverging; the residual is quadratic in the
+# split there, so at this floor it is within ~1e-12 (relative) of that limit.
+MIN_SPLIT = 1e-6
 
 
 def _exp(u):
@@ -53,26 +48,22 @@ class SingularJacobian(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Fit data: strictly increasing abscissa, optional per-point weights."""
+    """Fit data: finite values on a strictly increasing abscissa."""
 
     x: np.ndarray
     y: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape:
             raise ValueError("x and y must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("x and y must be finite (no NaN or inf)")
         if x.size >= 2 and np.any(np.diff(x) <= 0):
             raise ValueError("x must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != x.shape or np.any(w < 0):
-                raise ValueError("weights must be non-negative and match x")
-            object.__setattr__(self, "weights", w)
 
     def __len__(self):
         return self.x.size
@@ -93,46 +84,33 @@ class FitResult:
 
 def _check_size(data: Dataset, n_params: int):
     if len(data) < n_params + 1:
-        raise ValueError(
-            f"need at least {n_params + 1} points to fit {n_params} parameters"
-        )
+        raise ValueError(f"need at least {n_params + 1} points to fit {n_params} parameters")
 
 
-def nlls_minimize(model, data: Dataset, init, *, bounds=None, param_names=None,
-                  max_iterations: int = MAX_ITERATIONS, ftol: float = FTOL,
-                  gtol: float = GTOL, fd_rel_step: float = FD_REL_STEP) -> FitResult:
+def nlls_minimize(model, data: Dataset, init, *,
+                  max_iterations: int = MAX_ITERATIONS) -> FitResult:
     """Minimize sum of squared residuals of ``model(x, p)`` against the data.
 
     Levenberg-Marquardt damping on the Gauss-Newton normal equations with a
-    numerically differenced (central) Jacobian.  Box bounds, when given, are
-    enforced by projecting accepted steps.  Convergence is declared on a
-    relative residual improvement below ``ftol``, on a scale-free gradient
+    numerically differenced (central) Jacobian.  Convergence is declared on a
+    relative residual improvement below ``FTOL``, on a scale-free gradient
     norm (the largest cosine between the residual and a Jacobian column)
-    below ``gtol``, or on reaching a point no damped step can improve;
+    below ``GTOL``, or on reaching a point no damped step can improve;
     hitting ``max_iterations`` instead returns the best point found with
-    ``converged=False``.  A wholly insensitive model raises
-    :class:`SingularJacobian`.
+    ``converged=False``.  A model insensitive to every parameter at the start
+    raises :class:`SingularJacobian`; one that becomes so after accepted steps
+    has reached a stationary point.  Parameters are reported as ``p0, p1, ...``.
     """
     p = np.array(init, dtype=float)
     n_par = p.size
     _check_size(data, n_par)
-    if bounds is not None:
-        lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-        p = np.clip(p, lo, hi)
-    sqrt_w = np.sqrt(data.weights) if data.weights is not None else None
 
     def residual(params):
         # exploratory steps may overflow; non-finite trials are rejected
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r = data.y - model(data.x, params)
-            if sqrt_w is not None:
-                r = r * sqrt_w
-            if not np.all(np.isfinite(r)):
-                return None
             rss_val = float(r @ r)
-        if not np.isfinite(rss_val):
-            return None
-        return r, rss_val
+        return (r, rss_val) if np.isfinite(rss_val) else None
 
     start = residual(p)
     if start is None:
@@ -146,30 +124,23 @@ def nlls_minimize(model, data: Dataset, init, *, bounds=None, param_names=None,
         jac = np.empty((len(data), n_par))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(n_par):
-                h = fd_rel_step * max(abs(p[k]), 1.0)
-                up, dn = p.copy(), p.copy()
-                up[k] += h
-                dn[k] -= h
-                f_up = model(data.x, up)
-                f_dn = model(data.x, dn)
-                jac[:, k] = (f_up - f_dn) / (2.0 * h)
-        if sqrt_w is not None:
-            jac = jac * sqrt_w[:, None]
+                h = FD_REL_STEP * max(abs(p[k]), 1.0)
+                shift = np.zeros(n_par)
+                shift[k] = h
+                jac[:, k] = (model(data.x, p + shift) - model(data.x, p - shift)) / (2.0 * h)
         if not np.all(np.isfinite(jac)):
             raise SingularJacobian("Jacobian is not finite")
 
         grad = jac.T @ r
         col_norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
-        if np.all(col_norms <= 0.0):
-            raise SingularJacobian("model is insensitive to every parameter")
-        # scale-free gradient criterion: cosine between residual and columns
-        r_norm = np.sqrt(rss)
-        if r_norm == 0.0:
-            converged = True
-            break
         active = col_norms > 0.0
-        cosines = np.abs(grad[active]) / (col_norms[active] * r_norm)
-        if np.max(cosines) < gtol:
+        if iterations == 1 and not np.any(active):
+            raise SingularJacobian("model is insensitive to every parameter")
+        # an exact fit, a model that progress has flattened, or a scale-free
+        # gradient (cosine between residual and columns) below GTOL
+        r_norm = np.sqrt(rss)
+        if (r_norm == 0.0 or not np.any(active)
+                or np.max(np.abs(grad[active]) / (col_norms[active] * r_norm)) < GTOL):
             converged = True
             break
 
@@ -184,23 +155,18 @@ def nlls_minimize(model, data: Dataset, init, *, bounds=None, param_names=None,
         saw_finite_trial = False
         while lam < 1e15:
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), grad)
+                p_try = p + np.linalg.solve(jtj + lam * np.diag(diag), grad)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
-            p_try = p + step
-            if bounds is not None:
-                p_try = np.clip(p_try, lo, hi)
             trial = residual(p_try)
             if trial is not None:
                 saw_finite_trial = True
                 r_try, rss_try = trial
                 if rss_try < rss:
-                    improvement = rss - rss_try
+                    converged = rss - rss_try <= FTOL * max(rss_try, 1e-300)
                     p, r, rss = p_try, r_try, rss_try
                     lam = max(lam * 0.1, 1e-14)
                     accepted = True
-                    if improvement <= ftol * max(rss, 1e-300):
-                        converged = True
                     break
             lam *= 10.0
         if not accepted:
@@ -211,9 +177,8 @@ def nlls_minimize(model, data: Dataset, init, *, bounds=None, param_names=None,
         if converged:
             break
 
-    names = param_names or [f"p{k}" for k in range(n_par)]
     return FitResult(
-        parameters={name: float(val) for name, val in zip(names, p)},
+        parameters={f"p{k}": float(val) for k, val in enumerate(p)},
         residual_sum=rss,
         n_points=len(data),
         n_params=n_par,
@@ -222,365 +187,213 @@ def nlls_minimize(model, data: Dataset, init, *, bounds=None, param_names=None,
     )
 
 
+# --- the separable core: closed-form linear solves, grid start, polish ---
+
 def _require_variance(data: Dataset):
     if np.max(data.y) - np.min(data.y) <= 0.0:
         raise SingularJacobian("data has zero variance; nothing to fit")
 
 
-def _with(result: FitResult, parameters: dict, extra_warnings: tuple = ()) -> FitResult:
-    return FitResult(
-        parameters=parameters,
-        residual_sum=result.residual_sum,
-        n_points=result.n_points,
-        n_params=result.n_params,
-        converged=result.converged,
-        iterations=result.iterations,
-        warnings=result.warnings + extra_warnings,
-    )
+def _lstsq(columns, data: Dataset):
+    """Unconstrained best coefficients of ``columns`` and the curve they give.
 
-
-# ---------------------------------------------------------------------------
-# exact transmission model: extract the control strength
-# ---------------------------------------------------------------------------
-
-def fit_exact_tprime(data: Dataset, gamma_10: float, gamma_20: float,
-                     init: dict) -> FitResult:
-    """Fit the exact curve with fixed coherence rates.
-
-    Two free parameters: the control strength and the combined overall
-    amplitude (A * Omega_p), both kept positive through log coordinates.
-    ``init`` needs keys ``control`` and ``amplitude``.
+    Columns that overflowed on an exploratory step give a NaN curve, which
+    the minimizer rejects like any other non-finite trial.
     """
-    _require_variance(data)
+    basis = np.array(columns, dtype=float, ndmin=2)
+    if not np.all(np.isfinite(basis)):
+        return np.full(basis.shape[0], np.nan), np.full(basis.shape[1], np.nan)
+    # unit-norm columns: the rank cutoff is relative, and the columns of one
+    # basis can differ in scale by many orders of magnitude
+    norms = np.sqrt(np.einsum("ij,ij->i", basis, basis))
+    norms[norms == 0.0] = 1.0
+    try:
+        coef = np.linalg.lstsq(basis.T / norms, data.y, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"linear solve failed: {exc}") from exc
+    coef = coef / norms
+    return coef, coef @ basis
 
-    def model(x, u):
-        params = ExactModelParams(
-            amplitude=float(_exp(u[1])), probe=1.0, control=float(_exp(u[0])),
-            gamma_10=gamma_10, gamma_20=gamma_20,
-        )
-        return tprime_exact(x, params)
 
-    p0 = np.log([init["control"], init["amplitude"]])
-    res = nlls_minimize(model, data, p0)
-    control = float(np.exp(res.parameters["p0"]))
-    amplitude = float(np.exp(res.parameters["p1"]))
-    warn = ()
-    if amplitude < LOW_SIGNAL_FRACTION * max(np.max(np.abs(data.y)), 1e-300):
-        warn = ("low_signal",)
-    return _with(res, {"control": control, "amplitude": amplitude}, warn)
+def _nonneg(column, data: Dataset):
+    """Best non-negative multiple of one column (one-column NNLS)."""
+    (c,), curve = _lstsq([column], data)
+    return (float(c), curve) if not c < 0.0 else (0.0, np.zeros_like(curve))
+
+
+def _rss(curve, data: Dataset) -> float:
+    r = data.y - curve
+    value = float(r @ r)
+    return value if np.isfinite(value) else np.inf
+
+
+def _separable_fit(data: Dataset, project, starts, signal: str | None = None) -> FitResult:
+    """Variable-projection fit over the nonlinear parameters ``u``.
+
+    ``project(u)`` returns the named parameters - ``u`` mapped to the model's
+    own and the closed-form linear ones at ``u`` - and the curve they give.
+    The polish starts from the grid point in ``starts`` with the lowest
+    residual.  A parameter named ``signal`` below the low-signal floor flags
+    the fit ``low_signal``; a start already below it is returned unpolished,
+    because its curve does not depend on ``u``.
+    """
+    u = min((np.asarray(s, dtype=float) for s in starts), key=lambda s: _rss(project(s)[1], data))
+    params, curve = project(u)
+    _check_size(data, len(params))
+    floor = LOW_SIGNAL_FRACTION * max(float(np.max(np.abs(data.y))), 1e-300)
+    if signal is not None and params[signal] < floor:
+        converged, iterations = True, 0
+    else:
+        res = nlls_minimize(lambda x, v: project(v)[1], data, u)
+        params, curve = project(np.array(list(res.parameters.values())))
+        converged, iterations = res.converged, res.iterations
+    low = signal is not None and params[signal] < floor
+    return FitResult(parameters=params, residual_sum=_rss(curve, data), n_points=len(data),
+                     n_params=len(params), converged=converged, iterations=iterations,
+                     warnings=("low_signal",) if low else ())
 
 
 def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
                           control_hint: float | None = None) -> FitResult:
-    """Exact-curve fit with a deterministic multi-start over control strengths.
+    """Fit the exact curve with fixed coherence rates; k = 2 parameters.
 
-    The residual landscape in the control strength is multimodal once the
-    doublet splits, so a single far-off start can settle on a secondary
-    minimum.  A fixed geometric ladder of starts (plus an optional hint) is
-    fitted and the lowest residual kept; the amplitude start is matched to the
-    data peak at each rung.
+    The control strength is nonlinear and the combined overall amplitude
+    (A * Omega_p) linear.  The residual in the control strength is
+    multimodal once the doublet splits, so the start is the best of a fixed
+    geometric grid of controls, plus ``control_hint`` when given.
     """
     _require_variance(data)
-    scale = max(gamma_20, abs(data.x[-1]), abs(data.x[0]))
-    ladder = [f * scale for f in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)]
-    if control_hint is not None and control_hint > 0:
-        ladder.append(control_hint)
-    ymax = float(np.max(data.y))
-    best = None
-    for control in ladder:
-        shape = tprime_exact(data.x, ExactModelParams(
+
+    def project(u):
+        control = _exp(u[0])
+        amplitude, curve = _nonneg(tprime_exact(data.x, ExactModelParams(
             amplitude=1.0, probe=1.0, control=control,
-            gamma_10=gamma_10, gamma_20=gamma_20))
-        peak = float(np.max(shape))
-        if peak <= 0 or ymax <= 0:
-            continue
-        result = fit_exact_tprime(data, gamma_10, gamma_20,
-                                  {"control": control, "amplitude": ymax / peak})
-        if best is None or result.residual_sum < best.residual_sum:
-            best = result
-    if best is None:
-        raise SingularJacobian("no viable starting point for the exact-model fit")
-    return best
+            gamma_10=gamma_10, gamma_20=gamma_20)), data)
+        return {"control": float(control), "amplitude": amplitude}, curve
+
+    controls = list(np.geomspace(0.02, 3.2, 25) * max(gamma_20, -data.x[0], data.x[-1]))
+    if control_hint is not None and control_hint > 0:
+        controls.append(control_hint)
+    return _separable_fit(data, project, np.log(controls)[:, None], signal="amplitude")
 
 
-# ---------------------------------------------------------------------------
-# reduced models: difference form (4 parameters) and doublet form (3)
-# ---------------------------------------------------------------------------
-
-def _lorentzian_pair_lstsq(x, y, gp, gm):
-    """Best amplitudes of the difference form at fixed widths (linear)."""
-    basis = np.column_stack([1.0 / (x**2 + gp**2), -1.0 / (x**2 + gm**2)])
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    resid = y - basis @ coef
-    return coef, float(resid @ resid)
-
-
-def _doublet_lstsq(x, y, gamma, d0):
-    """Best common amplitude of the doublet form at fixed width/splitting."""
-    shape = 1.0 / ((x - d0) ** 2 + gamma**2) + 1.0 / ((x + d0) ** 2 + gamma**2)
-    denom = float(shape @ shape)
-    c = float(shape @ y) / denom if denom > 0 else 0.0
-    resid = y - c * shape
-    return c, float(resid @ resid)
-
-
-def _eit_auto_init(data: Dataset):
-    x, y = data.x, data.y
-    span = max(abs(x[0]), abs(x[-1]))
-    ymax = float(np.max(y))
-    # outer envelope full width at half maximum
-    above = np.nonzero(y >= 0.5 * ymax)[0]
-    if above.size >= 2:
-        broad = 0.5 * (x[above[-1]] - x[above[0]])
-    else:
-        broad = span / 4.0
-    broad = min(max(broad, span * 1e-3), 2.0 * span)
-    # central dip width, if there is a dip
-    mid = int(np.argmin(np.abs(x)))
-    dip = float(y[mid])
-    narrow = broad / 3.0
-    if dip < 0.9 * ymax:
-        half_depth = 0.5 * (ymax + dip)
-        left = mid
-        while left > 0 and y[left] < half_depth:
-            left -= 1
-        right = mid
-        while right < y.size - 1 and y[right] < half_depth:
-            right += 1
-        if right > left:
-            narrow = max(0.5 * (x[right] - x[left]), span * 1e-3)
-
-    best = None
-    factors = (0.25, 0.5, 1.0, 2.0, 4.0)
-    coarse_p = np.geomspace(span / 25.0, 1.2 * span, 8)
-    coarse_m = np.geomspace(span / 120.0, 0.6 * span, 8)
-    cand_p = np.unique(np.concatenate([broad * np.array(factors), coarse_p]))
-    cand_m = np.unique(np.concatenate([narrow * np.array(factors), coarse_m]))
-    for gp in cand_p:
-        for gm in cand_m:
-            if gm >= gp:
-                continue
-            coef, rss = _lorentzian_pair_lstsq(x, y, gp, gm)
-            if best is None or rss < best[0]:
-                best = (rss, gp, gm, coef)
-    _, gp, gm, coef = best
-    floor = 1e-8 * max(np.max(np.abs(y)), 1e-300) * gp**2
-    return max(coef[0], floor), max(coef[1], floor), gp, gm
-
-
-def fit_eit_model(data: Dataset, init: dict | None = None) -> FitResult:
+def fit_eit_model(data: Dataset) -> FitResult:
     """Fit the difference-of-Lorentzians form; k = 4 parameters.
 
-    Auto-initialization takes the broad width from the envelope FWHM, the
-    narrow width from the central dip, and the amplitudes from a linear solve
-    at those widths.  All four parameters are optimized in log coordinates;
-    the fitted curve may go negative when forced onto doublet-regime data,
-    which is reported as-is rather than clamped.
+    The widths are searched as the logs of their geometric mean and of their
+    relative split gamma_plus/gamma_minus - 1, floored at ``MIN_SPLIT``.  At
+    fixed widths the amplitudes solve a two-column non-negative least-squares
+    problem, written in the divided-difference basis {1/(x^2+gp^2),
+    1/((x^2+gp^2)(x^2+gm^2))} that stays well conditioned as the widths
+    coincide.  The fitted curve may go negative when forced onto
+    doublet-regime data, which is reported as-is rather than clamped.
     """
     _require_variance(data)
-    if init is None:
-        cp0, cm0, gp0, gm0 = _eit_auto_init(data)
-    else:
-        cp0, cm0 = init["cplus_sq"], init["cminus_sq"]
-        gp0, gm0 = init["gamma_plus"], init["gamma_minus"]
+    x2 = data.x**2
 
-    def model(x, u):
-        cp, cm, gp, gm = _exp(u)
-        return cp / (x**2 + gp**2) - cm / (x**2 + gm**2)
+    def project(u):
+        mean, split = _exp(u[0]), max(_exp(u[1]), MIN_SPLIT)
+        gp, gm = mean * np.sqrt(1.0 + split), mean / np.sqrt(1.0 + split)
+        broad, narrow = 1.0 / (x2 + gp**2), 1.0 / (x2 + gm**2)
+        (a, b), curve = _lstsq([broad, broad * narrow], data)
+        cp, cm = a - b / (gm * split * (gp + gm)), -b / (gm * split * (gp + gm))
+        if not (cp >= 0.0 and cm >= 0.0):
+            # the constrained optimum lies on an edge of the non-negative quadrant
+            (cp, broad_curve), (cm, narrow_curve) = _nonneg(broad, data), _nonneg(-narrow, data)
+            if _rss(broad_curve, data) <= _rss(narrow_curve, data):
+                cm, curve = 0.0, broad_curve
+            else:
+                cp, curve = 0.0, narrow_curve
+        return {"cplus_sq": float(cp), "cminus_sq": float(cm),
+                "gamma_plus": float(gp), "gamma_minus": float(gm)}, curve
 
-    res = nlls_minimize(model, data, np.log([cp0, cm0, gp0, gm0]))
-    cp, cm, gp, gm = (float(np.exp(res.parameters[f"p{k}"])) for k in range(4))
-    return _with(res, {
-        "cplus_sq": cp, "cminus_sq": cm, "gamma_plus": gp, "gamma_minus": gm,
-    })
-
-
-def _ats_auto_init(data: Dataset):
-    x, y = data.x, data.y
-    span = max(abs(x[0]), abs(x[-1]))
-    interior = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
-    peaks = np.nonzero(interior)[0] + 1
-    if peaks.size >= 2:
-        order = np.argsort(y[peaks])[::-1]
-        lead = np.sort(x[peaks[order[:2]]])
-        d0_guess = 0.5 * (lead[1] - lead[0])
-    elif peaks.size == 1:
-        d0_guess = abs(x[peaks[0]])
-    else:
-        d0_guess = 0.0
-    above = np.nonzero(y >= 0.5 * np.max(y))[0]
-    if above.size >= 2:
-        width_guess = max(0.25 * (x[above[-1]] - x[above[0]]), span * 1e-3)
-    else:
-        width_guess = span / 6.0
-
-    best = None
-    cand_d0 = np.unique(np.concatenate([
-        [d0_guess], np.linspace(0.0, 0.9 * span, 10),
-    ]))
-    cand_g = np.unique(np.concatenate([
-        width_guess * np.array([0.3, 1.0, 3.0]), np.geomspace(span / 60.0, span, 8),
-    ]))
-    for d0_c in cand_d0:
-        for g_c in cand_g:
-            c, rss = _doublet_lstsq(x, y, g_c, d0_c)
-            if c <= 0:
-                continue
-            if best is None or rss < best[0]:
-                best = (rss, c, g_c, d0_c)
-    if best is None:
-        return 1e-8, width_guess, d0_guess
-    _, c, g_c, d0_c = best
-    return c, g_c, d0_c
+    span = max(-data.x[0], data.x[-1])
+    starts = [[0.5 * np.log(gp * gm), np.log(gp / gm - 1.0)]
+              for gp in np.geomspace(span / 25.0, 1.2 * span, 10)
+              for gm in np.geomspace(span / 120.0, 0.6 * span, 10) if gm < gp]
+    return _separable_fit(data, project, starts)
 
 
-def fit_ats_model(data: Dataset, init: dict | None = None) -> FitResult:
+def fit_ats_model(data: Dataset) -> FitResult:
     """Fit the shifted-doublet form; k = 3 parameters.
 
-    Auto-initialization reads the half-splitting off the two dominant local
-    maxima and the width off their half-maximum extent.  Amplitude and width
-    live in log coordinates; the splitting is linear (|.|) so it can reach 0.
+    The width is searched in log coordinates and the half-splitting linearly
+    (as |.|) so it can reach 0; the common amplitude is a one-column
+    non-negative least-squares solve.
     """
     _require_variance(data)
-    if init is None:
-        c0, g0, d00 = _ats_auto_init(data)
-    else:
-        c0, g0, d00 = init["c_sq"], init["gamma"], init["delta_0"]
 
-    def model(x, u):
-        c, gamma = _exp(u[0]), _exp(u[1])
-        d0 = abs(u[2])
-        return c / ((x - d0) ** 2 + gamma**2) + c / ((x + d0) ** 2 + gamma**2)
+    def project(u):
+        gamma, d0 = _exp(u[0]), abs(u[1])
+        c_sq, curve = _nonneg(1.0 / ((data.x - d0) ** 2 + gamma**2)
+                              + 1.0 / ((data.x + d0) ** 2 + gamma**2), data)
+        return {"c_sq": c_sq, "gamma": float(gamma), "delta_0": float(d0)}, curve
 
-    res = nlls_minimize(model, data, np.array([np.log(c0), np.log(g0), d00]))
-    return _with(res, {
-        "c_sq": float(np.exp(res.parameters["p0"])),
-        "gamma": float(np.exp(res.parameters["p1"])),
-        "delta_0": abs(float(res.parameters["p2"])),
-    })
+    span = max(-data.x[0], data.x[-1])
+    starts = [[np.log(gamma), d0] for d0 in np.linspace(0.0, 0.9 * span, 10)
+              for gamma in np.geomspace(span / 60.0, span, 8)]
+    return _separable_fit(data, project, starts)
 
-
-def eit_params_from_fit(result: FitResult) -> EitModelParams:
-    """Typed view of a converged difference-form fit (widths must be ordered)."""
-    p = result.parameters
-    return EitModelParams(p["cplus_sq"], p["cminus_sq"], p["gamma_plus"], p["gamma_minus"])
-
-
-def ats_params_from_fit(result: FitResult) -> AtsModelParams:
-    p = result.parameters
-    return AtsModelParams(p["c_sq"], p["gamma"], p["delta_0"])
-
-
-# ---------------------------------------------------------------------------
-# single Lorentzian (linewidth extraction)
-# ---------------------------------------------------------------------------
 
 def lorentzian_curve(x, center, half_width, amplitude, offset=0.0):
     x = np.asarray(x, dtype=float)
     return offset + amplitude * half_width**2 / ((x - center) ** 2 + half_width**2)
 
 
-def fit_lorentzian(data: Dataset, init: dict | None = None) -> FitResult:
-    """Peak fit: center, half-width, amplitude, plus a constant offset.
+def fit_lorentzian(data: Dataset) -> FitResult:
+    """Peak fit: center, half-width, amplitude (>= 0), plus a constant offset.
 
     Near-zero fitted amplitude is flagged ``low_signal`` instead of being
     treated as a successful peak.
     """
-    x, y = data.x, data.y
-    if init is None:
-        peak = int(np.argmax(y))
-        offset0 = float(np.min(y))
-        amp0 = max(float(y[peak]) - offset0, 1e-9 * max(np.max(np.abs(y)), 1.0))
-        half_level = offset0 + 0.5 * amp0
-        above = np.nonzero(y >= half_level)[0]
-        if above.size >= 2 and x[above[-1]] > x[above[0]]:
-            hw0 = 0.5 * (x[above[-1]] - x[above[0]])
-        else:
-            hw0 = 0.1 * (x[-1] - x[0])
-        init = {"center": float(x[peak]), "half_width": hw0,
-                "amplitude": amp0, "offset": offset0}
+    x = data.x
+    ones = np.ones_like(x)
 
-    def model(xv, u):
-        return lorentzian_curve(xv, u[0], _exp(u[1]), _exp(u[2]), u[3])
+    def project(u):
+        half_width = _exp(u[1])
+        (amplitude, offset), curve = _lstsq(
+            [lorentzian_curve(x, u[0], half_width, 1.0), ones], data)
+        if amplitude < 0.0:
+            amplitude, ((offset,), curve) = 0.0, _lstsq([ones], data)
+        return {"center": float(u[0]), "half_width": float(half_width),
+                "amplitude": float(amplitude), "offset": float(offset)}, curve
 
-    p0 = np.array([init["center"], np.log(init["half_width"]),
-                   np.log(init["amplitude"]), init["offset"]])
-    res = nlls_minimize(model, data, p0)
-    amp = float(np.exp(res.parameters["p2"]))
-    warn = ()
-    if amp < LOW_SIGNAL_FRACTION * max(np.max(np.abs(y)), 1e-300):
-        warn = ("low_signal",)
-    return _with(res, {
-        "center": float(res.parameters["p0"]),
-        "half_width": float(np.exp(res.parameters["p1"])),
-        "amplitude": amp,
-        "offset": float(res.parameters["p3"]),
-    }, warn)
+    starts = [[center, np.log(hw)] for center in np.linspace(x[0], x[-1], 41)
+              for hw in np.geomspace(float(np.min(np.diff(x))), x[-1] - x[0], 10)]
+    return _separable_fit(data, project, starts, signal="amplitude")
 
-
-# ---------------------------------------------------------------------------
-# exponentially damped sinusoid (time-domain oscillations)
-# ---------------------------------------------------------------------------
 
 def damped_sinusoid_curve(t, offset, amplitude, decay_time, period, phase):
     t = np.asarray(t, dtype=float)
-    return offset + amplitude * np.exp(-t / decay_time) * np.cos(
-        2.0 * np.pi * t / period + phase
-    )
+    return offset + amplitude * np.exp(-t / decay_time) * np.cos(2.0 * np.pi * t / period + phase)
 
 
-def _period_from_fft(t, y):
-    dt = float(np.median(np.diff(t)))
-    spectrum = np.abs(np.fft.rfft(y - np.mean(y)))
-    freqs = np.fft.rfftfreq(t.size, dt)
-    if spectrum.size < 2:
-        return (t[-1] - t[0]) / 2.0
-    peak = 1 + int(np.argmax(spectrum[1:]))
-    if freqs[peak] <= 0:
-        return (t[-1] - t[0]) / 2.0
-    return 1.0 / freqs[peak]
-
-
-def fit_damped_sinusoid(data: Dataset, init: dict | None = None) -> FitResult:
+def fit_damped_sinusoid(data: Dataset) -> FitResult:
     """Fit offset + amplitude * exp(-t/decay_time) * cos(2 pi t/period + phase).
 
-    The period is seeded from the discrete spectrum of the trace, the decay
-    from the span; two phase starts are tried and the lower residual kept.
+    Decay time and period are searched in log coordinates, held inside
+    physically resolvable ranges (past a limit the model stops changing),
+    from a grid of periods half a cycle per trace apart up to the sampling
+    limit.  The amplitude is reported non-negative with the phase in
+    (-pi, pi].
     """
-    t, y = data.x, data.y
+    t = data.x
     span = t[-1] - t[0]
     min_dt = float(np.min(np.diff(t)))
-    if init is None:
-        period0 = float(np.clip(_period_from_fft(t, y), 2.0 * min_dt, 4.0 * span))
-        offset0 = float(np.mean(y))
-        amp0 = max(0.5 * (np.max(y) - np.min(y)), 1e-9 * max(np.max(np.abs(y)), 1.0))
-        decay0 = span / 3.0
-        cos0 = np.clip((y[0] - offset0) / amp0, -1.0, 1.0)
-        phase_starts = (float(np.arccos(cos0)), -float(np.arccos(cos0)))
-        init = {"offset": offset0, "amplitude": amp0, "decay_time": decay0,
-                "period": period0}
-    else:
-        phase_starts = (init.get("phase", 0.0),)
+    ones = np.ones_like(t)
+    lo = np.log([0.05 * min_dt, 1.9 * min_dt])
+    hi = np.log([1e8 * span, 20.0 * span])
 
-    def model(tv, u):
-        return damped_sinusoid_curve(tv, u[0], u[1], _exp(u[2]), _exp(u[3]), u[4])
+    def project(u):
+        decay, period = np.exp(np.clip(u, lo, hi))
+        envelope, arg = np.exp(-t / decay), 2.0 * np.pi * t / period
+        (offset, a_cos, a_sin), curve = _lstsq(
+            [ones, envelope * np.cos(arg), -envelope * np.sin(arg)], data)
+        return {"offset": float(offset), "amplitude": float(np.hypot(a_cos, a_sin)),
+                "decay_time": float(decay), "period": float(period),
+                "phase": float(np.arctan2(a_sin, a_cos))}, curve
 
-    # keep the period and decay inside physically resolvable ranges
-    big = np.inf
-    lo = np.array([-big, -big, np.log(0.05 * min_dt), np.log(1.9 * min_dt), -big])
-    hi = np.array([big, big, np.log(1e8 * span), np.log(20.0 * span), big])
-
-    best = None
-    for phase0 in phase_starts:
-        p0 = np.array([init["offset"], init["amplitude"],
-                       np.log(init["decay_time"]), np.log(init["period"]), phase0])
-        res = nlls_minimize(model, data, p0, bounds=(lo, hi))
-        if best is None or res.residual_sum < best.residual_sum:
-            best = res
-    return _with(best, {
-        "offset": float(best.parameters["p0"]),
-        "amplitude": float(best.parameters["p1"]),
-        "decay_time": float(np.exp(best.parameters["p2"])),
-        "period": float(np.exp(best.parameters["p3"])),
-        "phase": float(best.parameters["p4"]),
-    })
+    cycles = np.arange(0.5, 0.5 * span / min_dt + 0.25, 0.5)
+    starts = [[np.log(decay), np.log(span / n)] for n in cycles
+              for decay in span * np.array([0.05, 0.3, 1.0])]
+    return _separable_fit(data, project, starts, signal="amplitude")

@@ -23,6 +23,7 @@ __all__ = [
     "atomic_write_text",
     "write_spectrum_csv",
     "read_spectrum_csv",
+    "read_trace_csv",
     "write_table_csv",
     "write_json_report",
 ]
@@ -63,12 +64,18 @@ def write_spectrum_csv(path, spectrum: Spectrum, provenance: dict) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_spectrum_csv(path) -> Spectrum:
-    detunings, values = [], []
+def _read_two_columns(path, header: str):
+    """Rows of a two-column numeric CSV under ``header``, plus its metadata.
+
+    ``#`` lines before the header carry ``key=value`` metadata; blank lines
+    are skipped.  Malformed and non-finite values are rejected with their
+    line number.
+    """
+    xs, ys = [], []
     metadata = {}
+    header_seen = False
     with open(path, encoding="utf-8") as handle:
-        header_seen = False
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -79,17 +86,34 @@ def read_spectrum_csv(path) -> Spectrum:
                     metadata[key.strip()] = value.strip()
                 continue
             if not header_seen:
-                if line != "detuning_mhz,tprime":
-                    raise ValueError(f"unexpected spectrum CSV header: '{line}'")
+                if line != header:
+                    raise ValueError(f"{path}: expected CSV header '{header}', got '{line}'")
                 header_seen = True
                 continue
             left, _, right = line.partition(",")
-            detunings.append(float(left) * TWO_PI_MHZ)
-            values.append(float(right))
+            try:
+                x, y = float(left), float(right)
+            except ValueError:
+                raise ValueError(f"{path}, line {line_no}: not two numbers: '{line}'") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}, line {line_no}: non-finite value: '{line}'")
+            xs.append(x)
+            ys.append(y)
     if not header_seen:
-        raise ValueError("not a spectrum CSV (missing header)")
-    return Spectrum(detunings=np.array(detunings), values=np.array(values),
-                    metadata=metadata)
+        raise ValueError(f"{path}: missing CSV header '{header}'")
+    return np.array(xs), np.array(ys), metadata
+
+
+def read_spectrum_csv(path) -> Spectrum:
+    """Spectrum CSV (``detuning_mhz,tprime``) with detunings converted to rad/s."""
+    detunings_mhz, values, metadata = _read_two_columns(path, "detuning_mhz,tprime")
+    return Spectrum(detunings=detunings_mhz * TWO_PI_MHZ, values=values, metadata=metadata)
+
+
+def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Time-trace CSV (``time_ns,p22``, as ``rabi`` writes it): times in ns and values."""
+    times_ns, values, _ = _read_two_columns(path, "time_ns,p22")
+    return times_ns, values
 
 
 def write_table_csv(path, header: list[str], columns: list[np.ndarray],

@@ -204,6 +204,21 @@ def liouvillian_matrix(rates: ThreeLevelRates, drive: DriveConfig) -> np.ndarray
     return liou
 
 
+def _rk4_stepper(liou: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of d(vec rho)/dt = L vec rho as a 9x9 matrix.
+
+    For the linear autonomous master equation the RK4 update is exactly the
+    degree-4 Taylor polynomial of exp(dt L).
+    """
+    ldt = liou * dt
+    stepper = np.eye(9, dtype=complex)
+    term = np.eye(9, dtype=complex)
+    for order in range(1, 5):
+        term = term @ ldt / order
+        stepper = stepper + term
+    return stepper
+
+
 def evolve(rho0: np.ndarray, rates: ThreeLevelRates, drive: DriveConfig,
            duration: float, step: float | None = None,
            sample_stride: int = 1) -> Trajectory:
@@ -226,16 +241,7 @@ def evolve(rho0: np.ndarray, rates: ThreeLevelRates, drive: DriveConfig,
     n_steps = int(round(duration / step))
     dt = duration / n_steps
 
-    # For the linear autonomous master equation the classical RK4 update is
-    # exactly the degree-4 Taylor polynomial of exp(dt L).
-    liou = liouvillian_matrix(rates, drive)
-    ldt = liou * dt
-    stepper = np.eye(9, dtype=complex)
-    term = np.eye(9, dtype=complex)
-    for order in range(1, 5):
-        term = term @ ldt / order
-        stepper = stepper + term
-
+    stepper = _rk4_stepper(liouvillian_matrix(rates, drive), dt)
     vec = np.asarray(rho0, dtype=complex).reshape(9).copy()
     times = [0.0]
     states = [vec.reshape(3, 3).copy()]
@@ -376,13 +382,7 @@ def rabi_trace(rates: ThreeLevelRates, probe: float, times) -> np.ndarray:
         gap = target - current
         if gap > 0:
             n_sub = max(1, int(np.ceil(gap / base_dt)))
-            dt = gap / n_sub
-            ldt = liou * dt
-            stepper = np.eye(9, dtype=complex)
-            term = np.eye(9, dtype=complex)
-            for order in range(1, 5):
-                term = term @ ldt / order
-                stepper = stepper + term
+            stepper = _rk4_stepper(liou, gap / n_sub)
             for _ in range(n_sub):
                 vec = stepper @ vec
             current = target

@@ -48,9 +48,9 @@ def test_02_aic_threshold_value():
     # Benchmark: the crossing of the seed-averaged weight curves at 3% noise,
     # 61-point spectra, quoted as 4.28 MHz for these coherence rates.  This
     # pipeline lands near 5.1 MHz under every defensible reading of the noise
-    # model, grid span, and weight convention (fits verified globally
-    # optimal); the check is kept at the quoted tolerance and currently
-    # fails.  See README, "Known benchmark deviation".
+    # model, grid span, and weight convention (every fit converged); the
+    # check is kept at the quoted tolerance and currently fails.  See README,
+    # "Known benchmark deviation".
     grid = np.arange(2.0, 8.01, 0.5) * M
     sweep = weight_sweep(G10, G20, grid, noise_sigma=0.03, n_seeds=25,
                          n_points=61, base_seed=0)

@@ -197,8 +197,7 @@ class TestSweepCommand:
 
 
 class TestRabiCommand:
-    def test_trace_and_fit(self, cfg_file, tmp_path):
-        cfg = cfg_file("""\
+    CFG = """\
 units = MHz
 rates.gamma10 = 0
 rates.gamma20 = 1.625
@@ -206,7 +205,10 @@ rates.gamma21 = 0
 drive.omega_c = 0
 drive.omega_p = 8.802816901408451
 rabi.points = 161
-""")
+"""
+
+    def test_trace_and_fit(self, cfg_file, tmp_path):
+        cfg = cfg_file(self.CFG)
         out = tmp_path / "out"
         assert run("rabi", "--config", cfg, "--out", str(out), "--fit") == 0
         lines = [l for l in (out / "rabi_trace.csv").read_text().splitlines()
@@ -216,6 +218,15 @@ rabi.points = 161
         doc = json.loads((out / "rabi_fit.json").read_text())
         assert doc["period_ns"] == pytest.approx(56.8, rel=0.01)
 
+    def test_fit_reads_rabi_trace(self, cfg_file, tmp_path):
+        cfg = cfg_file(self.CFG)
+        out = tmp_path / "out"
+        assert run("rabi", "--config", cfg, "--out", str(out)) == 0
+        assert run("fit", "--config", cfg, "--model", "damped_sinusoid",
+                   "--input", str(out / "rabi_trace.csv"), "--out", str(out)) == 0
+        doc = json.loads((out / "fit_damped_sinusoid.json").read_text())
+        assert doc["parameters"]["period"] == pytest.approx(56.8, rel=0.01)
+
     def test_requires_probe(self, cfg_file, tmp_path):
         cfg = cfg_file("units = MHz\nrates.gamma10 = 1\nrates.gamma20 = 1\n"
                        "rates.gamma21 = 1\ndrive.omega_c = 0\ndrive.omega_p = 0\n")
@@ -223,6 +234,17 @@ rabi.points = 161
 
 
 class TestUsageErrors:
+    def test_linalg_error_is_numerical_failure(self, cfg_file, tmp_path, monkeypatch):
+        # np.linalg.LinAlgError subclasses ValueError; it must still exit 2
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("eitats.cli.discriminate", singular)
+        csv = tmp_path / "s.csv"
+        write_spectrum_csv(csv, synth_spectrum(1.76 * M, 6.90 * M, 2.06 * M), {})
+        assert run("discriminate", "--config", cfg_file(BASE_CFG), "--input", str(csv),
+                   "--out", str(tmp_path / "out")) == 2
+
     def test_unknown_flag(self, cfg_file):
         assert run("simulate", "--config", cfg_file(BASE_CFG), "--bogus") == 1
 

@@ -11,6 +11,7 @@ from eitats.config import (
     parse_config_text,
     serialize_config,
 )
+from eitats.fitting import Dataset
 from eitats.io_utils import (
     read_spectrum_csv,
     write_json_report,
@@ -150,6 +151,24 @@ class TestSpectrumCsv:
         path.write_text("nope,nope\n1,2\n")
         with pytest.raises(ValueError):
             read_spectrum_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["csv", "dataset"])
+def test_non_finite_input_rejected_where_it_enters(tmp_path, bad, where):
+    rows = [("-1", "0.5"), ("0", bad), ("1", "0.5")]
+    if where == "csv":
+        path = tmp_path / "s.csv"
+        path.write_text("# seed=1\ndetuning_mhz,tprime\n"
+                        + "".join(f"{x},{y}\n" for x, y in rows))
+        with pytest.raises(ValueError, match="line 4"):
+            read_spectrum_csv(path)
+    else:
+        x, y = (np.array([float(v) for v in col]) for col in zip(*rows))
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(x=x, y=y)
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(x=y, y=x)
 
 
 class TestReports:
