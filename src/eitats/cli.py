@@ -51,6 +51,7 @@ from .lindblad import (
     TraceDriftError,
     rabi_trace,
     steady_state,
+    steady_states,
 )
 from .model_selection import NoCrossing, crossing_threshold, discriminate, weight_sweep
 from .readout import ZeroDetuning, cavity_lorentzian, dispersive_shifts, normalized_transmission
@@ -178,6 +179,7 @@ def cmd_transmon(args, config: ExperimentConfig) -> int:
 
 def _simulated_tprime(config: ExperimentConfig, control_rad: float | None,
                       detunings: np.ndarray) -> np.ndarray:
+    """Simulated T' over ``detunings`` (rad/s) from the steady states of the grid."""
     rates = config.three_level_rates()
     use_cavity = config.cavity is not None and config.transmon is not None
     if use_cavity:
@@ -190,15 +192,12 @@ def _simulated_tprime(config: ExperimentConfig, control_rad: float | None,
         t_levels = [abs(cavity_lorentzian(readout_freq, cav.frequency + pull, cav.kappa))
                     for pull in levels]
 
-    values = np.empty(detunings.size)
-    for idx, delta in enumerate(detunings):
-        rho = steady_state(rates, config.drive_config(delta, control_rad))
-        if use_cavity:
-            t_mix = sum(rho[k, k].real * t_levels[k] for k in range(3))
-            values[idx] = normalized_transmission(t_mix, t_levels[0], t_levels[2]).real
-        else:
-            values[idx] = rho[2, 0].imag
-    if not use_cavity:
+    rho = steady_states(rates, config.drive_config(0.0, control_rad), detunings)
+    if use_cavity:
+        t_mix = sum(rho[:, k, k].real * t_levels[k] for k in range(3))
+        values = normalized_transmission(t_mix, t_levels[0], t_levels[2]).real
+    else:
+        values = rho[:, 2, 0].imag
         peak = np.max(np.abs(values))
         if peak > 0:
             values = values / peak

@@ -13,7 +13,7 @@ positive ones in log coordinates.  Identical inputs give bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -375,7 +375,8 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     physically resolvable ranges (past a limit the model stops changing),
     from a grid of periods half a cycle per trace apart up to the sampling
     limit.  The amplitude is reported non-negative with the phase in
-    (-pi, pi].
+    (-pi, pi].  A decay time or period that ends on one of those limits is
+    no measurement of it, and flags the fit ``at_limit``.
     """
     t = data.x
     span = t[-1] - t[0]
@@ -396,4 +397,9 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     cycles = np.arange(0.5, 0.5 * span / min_dt + 0.25, 0.5)
     starts = [[np.log(decay), np.log(span / n)] for n in cycles
               for decay in span * np.array([0.05, 0.3, 1.0])]
-    return _separable_fit(data, project, starts, signal="amplitude")
+    fit = _separable_fit(data, project, starts, signal="amplitude")
+    # project() returns exactly exp(lo) or exp(hi) for a clipped polish
+    decay_period = np.array([fit.parameters["decay_time"], fit.parameters["period"]])
+    if np.any(decay_period <= np.exp(lo)) or np.any(decay_period >= np.exp(hi)):
+        fit = replace(fit, warnings=fit.warnings + ("at_limit",))
+    return fit

@@ -188,6 +188,7 @@ def test_08_rabi_fit_recovery():
         decays.append(fit.parameters["decay_time"])
         assert fit.parameters["period"] == pytest.approx(56.8, rel=0.02)
         assert fit.parameters["decay_time"] == pytest.approx(130.6, rel=0.06)
+        assert "at_limit" not in fit.warnings
     mean_period, mean_decay = float(np.mean(periods)), float(np.mean(decays))
     report(8, "oscillation-trace fit",
            f"mean period {mean_period:.2f} ns (target 56.8 +/- 2%), "

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, null_space
 
+from eitats import lindblad
 from eitats.fitting import Dataset, fit_damped_sinusoid
 from eitats.lindblad import (
     DegenerateDenominator,
@@ -18,6 +22,7 @@ from eitats.lindblad import (
     rabi_trace,
     rotating_frame_hamiltonian,
     steady_state,
+    steady_states,
     validate_density_matrix,
 )
 
@@ -97,6 +102,21 @@ class TestCoherenceEquationConsistency:
         direct = master_equation_rhs(rho, paper_rates, drive)
         assert np.allclose(liou @ rho.reshape(9), direct.reshape(9), rtol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rates=st.lists(st.floats(0.0, 1e9), min_size=6, max_size=6),
+           control=st.floats(0.0, 1e9), probe=st.floats(0.0, 1e9),
+           detuning=st.floats(-1e9, 1e9))
+    def test_closed_form_equals_rhs_columns(self, rates, control, probe, detuning):
+        # every entry is the same few exact products summed in the same order
+        rates = ThreeLevelRates(*rates)
+        drive = DriveConfig(control=control, probe=probe, detuning=detuning)
+        columns = np.empty((9, 9), dtype=complex)
+        for col in range(9):
+            basis = np.zeros(9, dtype=complex)
+            basis[col] = 1.0
+            columns[:, col] = master_equation_rhs(basis.reshape(3, 3), rates, drive).reshape(9)
+        np.testing.assert_array_equal(liouvillian_matrix(rates, drive), columns)
+
 
 class TestEvolve:
     def test_rabi_oscillation_closed_form(self):
@@ -129,6 +149,21 @@ class TestEvolve:
                       sample_stride=20)
         for rho in traj.states:
             validate_density_matrix(rho)
+
+    def test_stride_not_dividing_steps_matches_step_loop(self, paper_rates):
+        drive = DriveConfig(control=3.0 * M, probe=1.0 * M, detuning=2.0 * M)
+        step, stride = 1e-9, 7
+        traj = evolve(ket_rho(0), paper_rates, drive, 103 * step, step=step,
+                      sample_stride=stride)
+        stepper = lindblad._rk4_stepper(liouvillian_matrix(paper_rates, drive), step)
+        vec = ket_rho(0).reshape(9)
+        expected = [vec]
+        for k in range(1, 104):
+            vec = stepper @ vec
+            if k % stride == 0 or k == 103:
+                expected.append(vec)
+        assert traj.times == pytest.approx(step * np.r_[0:103:stride, 103], rel=1e-12)
+        assert np.max(np.abs(traj.states.reshape(-1, 9) - np.array(expected))) < 1e-12
 
     def test_trace_drift_aborts(self, paper_rates):
         drive = DriveConfig(control=50.0 * M, probe=0.0)
@@ -184,6 +219,19 @@ class TestSteadyState:
                                    detuning=drive.detuning * factor)
         rho_b = steady_state(scaled_rates, scaled_drive)
         assert np.max(np.abs(rho_a - rho_b)) < 1e-9
+
+    def test_batch_matches_null_space_per_detuning(self, paper_rates):
+        # the README grid: 61 detunings over +-25 MHz, control 2.06, probe 0.02
+        detunings = np.linspace(-25.0, 25.0, 61) * M
+        drive = DriveConfig(control=2.06 * M, probe=0.02 * M)
+        batch = steady_states(paper_rates, drive, detunings)
+        for det, rho in zip(detunings, batch):
+            liou = liouvillian_matrix(paper_rates, DriveConfig(2.06 * M, 0.02 * M, det))
+            kernel = null_space(liou, rcond=1e-10)
+            assert kernel.shape[1] == 1
+            ref = kernel[:, 0].reshape(3, 3) / np.trace(kernel[:, 0].reshape(3, 3))
+            assert np.max(np.abs(rho - 0.5 * (ref + ref.conj().T))) < 1e-12
+        assert np.array_equal(batch[30], steady_state(paper_rates, drive))
 
     def test_no_dissipation_raises(self):
         rates = ThreeLevelRates(relax_10=0.0, relax_20=0.0, relax_21=0.0)
@@ -289,6 +337,30 @@ class TestRabiTrace:
         fit = fit_damped_sinusoid(Dataset(x=times * 1e9, y=trace))
         assert fit.parameters["period"] == pytest.approx(56.8, rel=0.01)
         assert fit.parameters["decay_time"] == pytest.approx(130.6, rel=0.02)
+        assert "at_limit" not in fit.warnings
+
+    def test_readme_trace_fit_is_flagged_at_limit(self, paper_rates):
+        # a 0.02 MHz probe against 1.76/6.90 MHz coherence decay: no oscillation
+        probe = 0.02 * M
+        times = np.linspace(0.0, 8.0 * np.pi / probe, 321)
+        trace = rabi_trace(paper_rates, probe, times)
+        fit = fit_damped_sinusoid(Dataset(x=times * 1e9, y=trace))
+        assert "at_limit" in fit.warnings
+
+    def test_non_uniform_times_match_expm_reference(self, paper_rates):
+        probe = 3.0 * M
+        times = np.r_[0.0, np.geomspace(1e-9, 400e-9, 60)]
+        trace = rabi_trace(paper_rates, probe, times)
+        liou = liouvillian_matrix(paper_rates, DriveConfig(control=0.0, probe=probe))
+        ground = ket_rho(0).reshape(9)
+        reference = np.array([(expm(liou * t) @ ground)[8].real for t in times])
+        assert np.unique(np.diff(times)).size > 50
+        assert np.max(np.abs(trace - reference)) < 1e-12 * np.max(reference)
+
+    def test_trace_drift_aborts(self, paper_rates, monkeypatch):
+        monkeypatch.setattr(lindblad, "expm", lambda m: 1.001 * expm(m))
+        with pytest.raises(TraceDriftError):
+            rabi_trace(paper_rates, 1.0 * M, np.linspace(0.0, 1e-7, 11))
 
     def test_doubling_probe_halves_period(self):
         rates = ThreeLevelRates(relax_10=0.0, relax_20=2.0 * M, relax_21=0.0)
