@@ -36,8 +36,6 @@ from .fitting import (
 )
 from .io_utils import (
     TWO_PI_MHZ,
-    atomic_write_text,
-    fmt,
     read_spectrum_csv,
     read_trace_csv,
     write_json_report,
@@ -54,10 +52,12 @@ from .lindblad import (
     steady_states,
 )
 from .model_selection import NoCrossing, crossing_threshold, discriminate, weight_sweep
-from .readout import ZeroDetuning, cavity_lorentzian, dispersive_shifts, normalized_transmission
+from .readout import (ZeroDetuning, cavity_lorentzian, composite_transmission,
+                      dispersive_shifts, normalized_transmission)
 from .spectra import ComplexRoots, ImaginarySplitting, Spectrum
 from .synth import cell_rng
-from .transmon import CutoffConvergenceError, circulating_current_coupling, diagonalize, selection_rule_sweep
+from .transmon import (CutoffConvergenceError, circulating_current_coupling, diagonalize,
+                       effective_josephson, selection_rule_sweep)
 
 MHZ = 1e6
 
@@ -160,8 +160,7 @@ def cmd_transmon(args, config: ExperimentConfig) -> int:
     freqs_mhz = sol.eigen_frequencies / MHZ
     payload = {
         "charging_energy_mhz": spec.charging_energy / MHZ,
-        "effective_josephson_mhz": 2.0 * spec.junction_energy
-        * math.cos(math.pi * spec.flux_ratio) / MHZ,
+        "effective_josephson_mhz": effective_josephson(spec) / MHZ,
         "offset_charge": spec.offset_charge,
         "flux_ratio": spec.flux_ratio,
         "charge_cutoff": spec.charge_cutoff,
@@ -194,7 +193,7 @@ def _simulated_tprime(config: ExperimentConfig, control_rad: float | None,
 
     rho = steady_states(rates, config.drive_config(0.0, control_rad), detunings)
     if use_cavity:
-        t_mix = sum(rho[:, k, k].real * t_levels[k] for k in range(3))
+        t_mix = composite_transmission(rho, *t_levels)
         values = normalized_transmission(t_mix, t_levels[0], t_levels[2]).real
     else:
         values = rho[:, 2, 0].imag
@@ -328,11 +327,10 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
     rates = config.three_level_rates()
     grid = config.control_grid_rad()
     seed = _seed(args, config)
-    span = config.detuning_grid_rad().max()
     sweep = weight_sweep(
         rates.coherence_10, rates.coherence_20, grid,
         noise_sigma=config.noise.sigma, n_seeds=config.noise.seeds,
-        n_points=config.drive.delta_points, grid_span=span, base_seed=seed,
+        detunings=config.detuning_grid_rad(), base_seed=seed,
     )
     out = _outdir(args, config)
     prov = _provenance(config, "sweep", seed)
@@ -383,11 +381,7 @@ def cmd_rabi(args, config: ExperimentConfig) -> int:
 
     out = _outdir(args, config)
     prov = _provenance(config, "rabi", seed if config.noise.sigma > 0 else None)
-    lines = [f"# {k}={v}" for k, v in sorted(prov.items())]
-    lines.append("time_ns,p22")
-    for t, p in zip(times, trace):
-        lines.append(f"{fmt(t * 1e9)},{fmt(p)}")
-    atomic_write_text(out / "rabi_trace.csv", "\n".join(lines) + "\n")
+    write_table_csv(out / "rabi_trace.csv", ["time_ns", "p22"], [times * 1e9, trace], prov)
 
     if args.fit:
         result = fit_damped_sinusoid(Dataset(x=times * 1e9, y=trace))

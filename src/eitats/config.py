@@ -9,22 +9,26 @@ suffix overriding the file unit.  Unknown keys are errors; syntax problems
 raise :class:`ParseError` with the line number and constraint violations
 raise :class:`ValidationError` naming the key.
 
-Blocks store file-unit numbers so that serialization round-trips exactly;
-canonical rad/s (rates, drives) and Hz (transmon, cavity) values are derived
-through accessor methods.
+Each key is declared once, as a field of its block dataclass: the field
+carries the value kind and bound, and a field without a default is a required
+key.  Blocks store file-unit numbers so that serialization round-trips
+exactly; canonical rad/s (rates, drives) and Hz (transmon, cavity) values are
+derived through accessor methods.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .lindblad import DriveConfig, ThreeLevelRates
 from .readout import CavitySpec
+from .synth import default_detuning_grid
 from .transmon import TransmonSpec
 
 __all__ = [
@@ -54,61 +58,71 @@ class ValidationError(Exception):
         self.key = key
 
 
+def _key(kind: str, bound, default=MISSING):
+    """Block field for one config key.
+
+    ``kind`` is freq (unit suffix allowed), plain, int, str, freq_list or
+    plain_list; ``bound`` is ``(op, limit)`` with op ``>`` or ``>=``, or
+    ``"ascending"`` for a list.  A field without a default is a required key.
+    """
+    return field(default=default, metadata={"kind": kind, "bound": bound})
+
+
 @dataclass(frozen=True)
 class TransmonBlock:
-    e_c: float  # file units
-    e_j0: float
-    flux_ratio: float = 0.0
-    n_g: float = 0.0
-    charge_cutoff: int = 15
-    num_levels: int = 3
-    ratio_grid: tuple = ()
+    e_c: float = _key("freq", (">", 0))  # file units
+    e_j0: float = _key("freq", (">=", 0))
+    flux_ratio: float = _key("plain", None, 0.0)
+    n_g: float = _key("plain", None, 0.0)
+    charge_cutoff: int = _key("int", (">=", 5), 15)
+    num_levels: int = _key("int", (">", 0), 3)
+    ratio_grid: tuple = _key("plain_list", (">", 0), ())
 
 
 @dataclass(frozen=True)
 class RatesBlock:
-    gamma10: float  # relaxation Gamma_10, file units
-    gamma20: float
-    gamma21: float
-    dephasing00: float = 0.0
-    dephasing11: float = 0.0
-    dephasing22: float = 0.0
+    gamma10: float = _key("freq", (">=", 0))  # relaxation Gamma_10, file units
+    gamma20: float = _key("freq", (">=", 0))
+    gamma21: float = _key("freq", (">=", 0))
+    dephasing00: float = _key("freq", (">=", 0), 0.0)
+    dephasing11: float = _key("freq", (">=", 0), 0.0)
+    dephasing22: float = _key("freq", (">=", 0), 0.0)
 
 
 @dataclass(frozen=True)
 class DriveBlock:
-    omega_c: float | None = None
-    omega_p: float | None = None
-    delta: float = 0.0
-    delta_span: float | None = None
-    delta_points: int = 61
-    omega_c_grid: tuple = ()
+    omega_c: float | None = _key("freq", (">=", 0), None)
+    omega_p: float | None = _key("freq", (">=", 0), None)
+    delta: float = _key("freq", None, 0.0)
+    delta_span: float | None = _key("freq", (">", 0), None)
+    delta_points: int = _key("int", (">=", 2), 61)
+    omega_c_grid: tuple = _key("freq_list", "ascending", ())
 
 
 @dataclass(frozen=True)
 class CavityBlock:
-    frequency: float
-    q_loaded: float
-    g1: float
-    g2: float | None = None
+    frequency: float = _key("freq", (">", 0))
+    q_loaded: float = _key("plain", (">", 0))
+    g1: float = _key("freq", (">=", 0))
+    g2: float | None = _key("freq", (">=", 0), None)
 
 
 @dataclass(frozen=True)
 class NoiseBlock:
-    sigma: float = 0.0
-    seeds: int = 25
-    seed: int = 0
+    sigma: float = _key("plain", (">=", 0), 0.0)
+    seeds: int = _key("int", (">", 0), 25)
+    seed: int = _key("int", (">=", 0), 0)
 
 
 @dataclass(frozen=True)
 class OutputBlock:
-    directory: str = "."
+    directory: str = _key("str", None, ".")
 
 
 @dataclass(frozen=True)
 class RabiBlock:
-    duration_ns: float | None = None
-    points: int = 321
+    duration_ns: float | None = _key("plain", (">", 0), None)
+    points: int = _key("int", (">=", 4), 321)
 
 
 @dataclass(frozen=True)
@@ -168,9 +182,9 @@ class ExperimentConfig:
 
     def detuning_grid_rad(self) -> np.ndarray:
         self.require("drive")
-        span = self.drive.delta_span
-        span_rad = self.rad(span) if span is not None else TWO_PI * 25e6
-        return np.linspace(-span_rad, span_rad, self.drive.delta_points)
+        if self.drive.delta_span is None:
+            return default_detuning_grid(self.drive.delta_points)
+        return default_detuning_grid(self.drive.delta_points, self.rad(self.drive.delta_span))
 
     def control_grid_rad(self) -> np.ndarray:
         self.require("drive")
@@ -201,47 +215,7 @@ class ExperimentConfig:
         )
 
 
-# key registry: (block, field) -> (kind, constraint)
-# kinds: freq (unit suffix allowed), plain, int, str, freq_list, plain_list
-_KEYS = {
-    "transmon.e_c": ("freq", "positive"),
-    "transmon.e_j0": ("freq", "nonnegative"),
-    "transmon.flux_ratio": ("plain", None),
-    "transmon.n_g": ("plain", None),
-    "transmon.charge_cutoff": ("int", "cutoff"),
-    "transmon.num_levels": ("int", "positive"),
-    "transmon.ratio_grid": ("plain_list", "positive"),
-    "rates.gamma10": ("freq", "nonnegative"),
-    "rates.gamma20": ("freq", "nonnegative"),
-    "rates.gamma21": ("freq", "nonnegative"),
-    "rates.dephasing00": ("freq", "nonnegative"),
-    "rates.dephasing11": ("freq", "nonnegative"),
-    "rates.dephasing22": ("freq", "nonnegative"),
-    "drive.omega_c": ("freq", "nonnegative"),
-    "drive.omega_p": ("freq", "nonnegative"),
-    "drive.delta": ("freq", None),
-    "drive.delta_span": ("freq", "positive"),
-    "drive.delta_points": ("int", "at_least_two"),
-    "drive.omega_c_grid": ("freq_list", "ascending"),
-    "cavity.frequency": ("freq", "positive"),
-    "cavity.q_loaded": ("plain", "positive"),
-    "cavity.g1": ("freq", "nonnegative"),
-    "cavity.g2": ("freq", "nonnegative"),
-    "noise.sigma": ("plain", "nonnegative"),
-    "noise.seeds": ("int", "positive"),
-    "noise.seed": ("int", "nonnegative"),
-    "output.directory": ("str", None),
-    "rabi.duration_ns": ("plain", "positive"),
-    "rabi.points": ("int", "at_least_four"),
-}
-
-_REQUIRED_IN_BLOCK = {
-    "transmon": ("e_c", "e_j0"),
-    "rates": ("gamma10", "gamma20", "gamma21"),
-    "cavity": ("frequency", "q_loaded", "g1"),
-}
-
-_BLOCK_TYPES = {
+_BLOCKS = {
     "transmon": TransmonBlock,
     "rates": RatesBlock,
     "drive": DriveBlock,
@@ -250,21 +224,22 @@ _BLOCK_TYPES = {
     "output": OutputBlock,
     "rabi": RabiBlock,
 }
+# "section.name" -> the block field that declares the key
+_KEYS = {f"{section}.{fld.name}": fld for section, block in _BLOCKS.items()
+         for fld in fields(block)}
+_OPS = {">": operator.gt, ">=": operator.ge}
 
 
-def _check_constraint(key: str, value, constraint: str | None):
-    if constraint is None:
-        return
-    if constraint == "positive" and not value > 0:
-        raise ValidationError(f"{key} must be > 0 (got {value})", key)
-    if constraint == "nonnegative" and not value >= 0:
-        raise ValidationError(f"{key} must be >= 0 (got {value})", key)
-    if constraint == "cutoff" and value < 5:
-        raise ValidationError(f"{key} must be >= 5 (got {value})", key)
-    if constraint == "at_least_two" and value < 2:
-        raise ValidationError(f"{key} must be >= 2 (got {value})", key)
-    if constraint == "at_least_four" and value < 4:
-        raise ValidationError(f"{key} must be >= 4 (got {value})", key)
+def _check_bound(key: str, value, bound):
+    items = value if isinstance(value, tuple) else (value,)
+    if bound == "ascending":
+        if any(b <= a for a, b in zip(items, items[1:])):
+            raise ValidationError(f"{key} must be strictly increasing", key)
+    elif bound is not None:
+        op, limit = bound
+        for item in items:
+            if not _OPS[op](item, limit):
+                raise ValidationError(f"{key} must be {op} {limit} (got {item})", key)
 
 
 def _parse_scalar(token: str, kind: str, key: str, file_scale: float, line_no: int):
@@ -308,73 +283,49 @@ def _parse_list(token: str, kind: str, key: str, file_scale: float, line_no: int
 
 def parse_config_text(text: str) -> ExperimentConfig:
     units = "MHz"
-    raw: dict[str, dict] = {}
-    lines = text.splitlines()
-
-    # the units key is global and read first so suffix-free values convert
-    for line_no, line in enumerate(lines, start=1):
+    entries = []
+    # the units key is global, so values convert only once every line is read
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ParseError(f"line {line_no}: expected 'key = value'")
         key, _, value = (part.strip() for part in stripped.partition("="))
-        if key == "units":
-            if value not in UNIT_SCALES:
-                raise ValidationError(
-                    f"units must be one of {sorted(UNIT_SCALES)} (got '{value}')",
-                    "units",
-                )
+        if key != "units":
+            entries.append((line_no, key, value))
+        elif value in UNIT_SCALES:
             units = value
+        else:
+            raise ValidationError(
+                f"units must be one of {sorted(UNIT_SCALES)} (got '{value}')", "units"
+            )
     file_scale = UNIT_SCALES[units]
 
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, _, value = (part.strip() for part in stripped.partition("="))
-        if key == "units":
-            continue
+    raw: dict[str, dict] = {}
+    for line_no, key, value in entries:
         if not value:
             raise ParseError(f"line {line_no}: empty value for '{key}'")
         if key not in _KEYS:
             raise ValidationError(f"unknown config key '{key}'", key)
-        kind, constraint = _KEYS[key]
-        section, field_name = key.split(".", 1)
-        if kind.endswith("_list"):
-            parsed = _parse_list(value, kind, key, file_scale, line_no)
-            for item in parsed:
-                _check_constraint(key, item, constraint if constraint != "ascending" else None)
-            if constraint == "ascending" and any(
-                b <= a for a, b in zip(parsed, parsed[1:])
-            ):
-                raise ValidationError(f"{key} must be strictly increasing", key)
-        else:
-            parsed = _parse_scalar(value, kind, key, file_scale, line_no)
-            _check_constraint(key, parsed, constraint)
-        raw.setdefault(section, {})[field_name] = parsed
+        kind = _KEYS[key].metadata["kind"]
+        parse = _parse_list if kind.endswith("_list") else _parse_scalar
+        parsed = parse(value, kind, key, file_scale, line_no)
+        _check_bound(key, parsed, _KEYS[key].metadata["bound"])
+        section, name = key.split(".", 1)
+        raw.setdefault(section, {})[name] = parsed
 
-    blocks: dict[str, object] = {}
+    blocks = {}
     for section, values in raw.items():
-        for required in _REQUIRED_IN_BLOCK.get(section, ()):
-            if required not in values:
+        for fld in fields(_BLOCKS[section]):
+            if fld.default is MISSING and fld.name not in values:
                 raise ValidationError(
-                    f"config block '{section}' is missing key '{section}.{required}'",
-                    f"{section}.{required}",
+                    f"config block '{section}' is missing key '{section}.{fld.name}'",
+                    f"{section}.{fld.name}",
                 )
-        blocks[section] = _BLOCK_TYPES[section](**values)
-
-    return ExperimentConfig(
-        units=units,
-        transmon=blocks.get("transmon"),
-        rates=blocks.get("rates"),
-        drive=blocks.get("drive"),
-        cavity=blocks.get("cavity"),
-        noise=blocks.get("noise", NoiseBlock()),
-        output=blocks.get("output", OutputBlock()),
-        rabi=blocks.get("rabi", RabiBlock()),
-        config_hash=hashlib.sha256(text.encode()).hexdigest()[:16],
-    )
+        blocks[section] = _BLOCKS[section](**values)
+    config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return ExperimentConfig(units=units, config_hash=config_hash, **blocks)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -397,7 +348,7 @@ def _format_value(value) -> str:
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; parsing it reproduces an equal config."""
     out = [f"units = {config.units}"]
-    for section in ("transmon", "rates", "drive", "cavity", "noise", "output", "rabi"):
+    for section in _BLOCKS:
         block = getattr(config, section)
         if block is None:
             continue

@@ -52,16 +52,9 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _provenance_lines(provenance: dict) -> list[str]:
-    return [f"# {key}={provenance[key]}" for key in sorted(provenance)]
-
-
 def write_spectrum_csv(path, spectrum: Spectrum, provenance: dict) -> None:
-    lines = _provenance_lines(provenance)
-    lines.append("detuning_mhz,tprime")
-    for det, val in zip(spectrum.detunings, spectrum.values):
-        lines.append(f"{fmt(det / TWO_PI_MHZ)},{fmt(val)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table_csv(path, ["detuning_mhz", "tprime"],
+                    [spectrum.detunings / TWO_PI_MHZ, spectrum.values], provenance)
 
 
 def _read_two_columns(path, header: str):
@@ -120,7 +113,7 @@ def write_table_csv(path, header: list[str], columns: list[np.ndarray],
                     provenance: dict) -> None:
     if len(header) != len(columns):
         raise ValueError("header and column count mismatch")
-    lines = _provenance_lines(provenance)
+    lines = [f"# {key}={provenance[key]}" for key in sorted(provenance)]
     lines.append(",".join(header))
     n_rows = len(columns[0])
     for row in range(n_rows):

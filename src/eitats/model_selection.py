@@ -6,13 +6,12 @@ likelihoods follow from the standard Akaike weights exp(-I/2), normalized over
 the candidate pair; an exact fit (R = 0) carries a -inf sentinel and takes
 all the weight.
 
-:func:`per_point_weights` evaluates the weight formula on the per-point
-values, which is the soft variant useful for comparing losses on a common
-scale.  Reports and the drive-strength sweep use the total-information
-weights: with realistic noise those saturate to 0/1 deep in either regime,
-which is what the regime classification thresholds require (the per-point
-variant cannot exceed ~0.7 at a few percent noise no matter how decisive the
-fit comparison is).
+:func:`akaike_weights` evaluates the weight formula on any common loss
+scale.  Reports and the drive-strength sweep apply it to the total
+information losses: with realistic noise those weights saturate to 0/1 deep
+in either regime, which is what the regime classification thresholds require
+(the soft per-point variant, the same formula on Ibar, cannot exceed ~0.7 at a
+few percent noise no matter how decisive the fit comparison is).
 
 The sweep generates seeded synthetic spectra, fits both reduced models on
 each, averages the weights over seeds, and locates the drive strength where
@@ -28,7 +27,7 @@ import numpy as np
 
 from .fitting import Dataset, FitResult, SingularJacobian, fit_ats_model, fit_eit_model
 from .spectra import Spectrum
-from .synth import default_detuning_grid, synth_spectrum
+from .synth import synth_spectrum
 
 __all__ = [
     "AicReport",
@@ -37,7 +36,7 @@ __all__ = [
     "NonPositiveResidual",
     "NoCrossing",
     "aic",
-    "per_point_weights",
+    "akaike_weights",
     "discriminate",
     "weight_sweep",
     "crossing_threshold",
@@ -111,7 +110,7 @@ def aic(n_points: int, residual_sum: float, n_params: int) -> float:
     return n_points * math.log(residual_sum / n_points) + 2 * n_params
 
 
-def per_point_weights(ibar_eit: float, ibar_ats: float) -> tuple[float, float]:
+def akaike_weights(ibar_eit: float, ibar_ats: float) -> tuple[float, float]:
     """Normalized pair weights exp(-Ibar/2) / sum, numerically stable.
 
     Works on any common scale (per-point or total losses); -inf sentinels take
@@ -145,7 +144,7 @@ def discriminate(spectrum: Spectrum | Dataset,
     n = len(data)
     i_eit = aic(n, eit_fit.residual_sum, K_EIT)
     i_ats = aic(n, ats_fit.residual_sum, K_ATS)
-    w_eit, w_ats = per_point_weights(i_eit, i_ats)
+    w_eit, w_ats = akaike_weights(i_eit, i_ats)
     inf = float("inf")
     return AicReport(
         i_eit=i_eit,
@@ -162,11 +161,12 @@ def discriminate(spectrum: Spectrum | Dataset,
 
 def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
                  noise_sigma: float = 0.03, n_seeds: int = 25,
-                 n_points: int = 61, grid_span: float | None = None,
+                 detunings: np.ndarray | None = None,
                  base_seed: int = 0) -> WeightSweepResult:
     """Seed-averaged model weights across a control-strength grid.
 
-    Each (grid point, seed) cell generates a synthetic spectrum, fits both
+    Each (grid point, seed) cell generates a synthetic spectrum over
+    ``detunings`` (rad/s; the synth default grid when None), fits both
     reduced models, and computes the weights; fit failures are counted per
     cell and excluded from the averages instead of aborting the sweep.  Cells
     are independent and seeded by index, so results do not depend on
@@ -181,10 +181,6 @@ def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
         raise ValueError("noise_sigma must be >= 0")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    detunings = default_detuning_grid(
-        n_points,
-        grid_span if grid_span is not None else default_detuning_grid().max(),
-    )
 
     shape = control_grid.shape
     w_mean = np.empty(shape)

@@ -121,9 +121,12 @@ def cavity_lorentzian(probe_freq: float, state_freq: float, kappa: float) -> com
 
 def composite_transmission(rho: np.ndarray, t0: complex, t1: complex,
                            t2: complex) -> complex:
-    """Population-weighted transmission rho_00 T0 + rho_11 T1 + rho_22 T2."""
+    """Population-weighted transmission rho_00 T0 + rho_11 T1 + rho_22 T2.
+
+    A stack of density matrices ``(..., 3, 3)`` gives one value per state.
+    """
     rho = np.asarray(rho)
-    p0, p1, p2 = rho[0, 0].real, rho[1, 1].real, rho[2, 2].real
+    p0, p1, p2 = (rho[..., k, k].real for k in range(3))
     return p0 * t0 + p1 * t1 + p2 * t2
 
 

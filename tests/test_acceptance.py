@@ -52,8 +52,7 @@ def test_02_aic_threshold_value():
     # check is kept at the quoted tolerance and currently fails.  See README,
     # "Known benchmark deviation".
     grid = np.arange(2.0, 8.01, 0.5) * M
-    sweep = weight_sweep(G10, G20, grid, noise_sigma=0.03, n_seeds=25,
-                         n_points=61, base_seed=0)
+    sweep = weight_sweep(G10, G20, grid, noise_sigma=0.03, n_seeds=25, base_seed=0)
     crossing = crossing_threshold(grid, sweep.w_eit_mean)
     measured_mhz = crossing.threshold / M
     report(2, "information-criterion threshold",

@@ -1,11 +1,22 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitats.config import (
+    UNIT_SCALES,
+    CavityBlock,
+    DriveBlock,
     ExperimentConfig,
+    NoiseBlock,
+    OutputBlock,
     ParseError,
+    RabiBlock,
+    RatesBlock,
+    TransmonBlock,
     ValidationError,
     load_config,
     parse_config_text,
@@ -125,9 +136,136 @@ class TestParsing:
         path.write_text(MINIMAL)
         cfg = load_config(path)
         assert len(cfg.config_hash) == 16
+        assert cfg.config_hash == "56458affb999ba37"
         # equality ignores the hash (it tracks raw text, not content)
         cfg2 = parse_config_text(MINIMAL + "# trailing comment\n")
         assert cfg2 == cfg
+
+
+BLOCKS = {"transmon": TransmonBlock, "rates": RatesBlock, "drive": DriveBlock,
+          "cavity": CavityBlock, "noise": NoiseBlock, "output": OutputBlock,
+          "rabi": RabiBlock}
+
+# Every config key with the value kind and the bound (op, limit) it is parsed
+# and checked with; an independent record of the file format.
+KEY_SPECS = {
+    "transmon.e_c": ("freq", ">", 0),
+    "transmon.e_j0": ("freq", ">=", 0),
+    "transmon.flux_ratio": ("plain", None, None),
+    "transmon.n_g": ("plain", None, None),
+    "transmon.charge_cutoff": ("int", ">=", 5),
+    "transmon.num_levels": ("int", ">", 0),
+    "transmon.ratio_grid": ("plain_list", ">", 0),
+    "rates.gamma10": ("freq", ">=", 0),
+    "rates.gamma20": ("freq", ">=", 0),
+    "rates.gamma21": ("freq", ">=", 0),
+    "rates.dephasing00": ("freq", ">=", 0),
+    "rates.dephasing11": ("freq", ">=", 0),
+    "rates.dephasing22": ("freq", ">=", 0),
+    "drive.omega_c": ("freq", ">=", 0),
+    "drive.omega_p": ("freq", ">=", 0),
+    "drive.delta": ("freq", None, None),
+    "drive.delta_span": ("freq", ">", 0),
+    "drive.delta_points": ("int", ">=", 2),
+    "drive.omega_c_grid": ("freq_list", "ascending", None),
+    "cavity.frequency": ("freq", ">", 0),
+    "cavity.q_loaded": ("plain", ">", 0),
+    "cavity.g1": ("freq", ">=", 0),
+    "cavity.g2": ("freq", ">=", 0),
+    "noise.sigma": ("plain", ">=", 0),
+    "noise.seeds": ("int", ">", 0),
+    "noise.seed": ("int", ">=", 0),
+    "output.directory": ("str", None, None),
+    "rabi.duration_ns": ("plain", ">", 0),
+    "rabi.points": ("int", ">=", 4),
+}
+REQUIRED = ["transmon.e_c", "transmon.e_j0", "rates.gamma10", "rates.gamma20",
+            "rates.gamma21", "cavity.frequency", "cavity.q_loaded", "cavity.g1"]
+
+FULL = "units = MHz\n" + "".join(f"{key} = {value}\n" for key, value in [
+    ("transmon.e_c", 412), ("transmon.e_j0", 3500), ("transmon.n_g", 0.5),
+    ("rates.gamma10", 3.52), ("rates.gamma20", 6.9), ("rates.gamma21", 6.9),
+    ("drive.omega_c", 2.06), ("drive.omega_p", 0.02),
+    ("cavity.frequency", 8216.9), ("cavity.q_loaded", 1000), ("cavity.g1", 173),
+])
+
+
+def test_key_specs_cover_every_block_field():
+    declared = {f"{section}.{fld.name}" for section, cls in BLOCKS.items()
+                for fld in fields(cls)}
+    assert declared == set(KEY_SPECS)
+
+
+def _value_strategy(kind, op, limit):
+    if kind == "str":
+        return st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                                     blacklist_characters="#"), min_size=1)
+    if kind == "int":
+        low = limit + (op == ">") if op else -10**6
+        return st.integers(low, 10**6)
+    bounded = {} if op in (None, "ascending") else {
+        "min_value": float(limit), "exclude_min": op == ">"}
+    number = st.floats(allow_nan=False, allow_infinity=False, **bounded)
+    if kind == "plain_list":
+        return st.lists(number, max_size=4).map(tuple)
+    if kind == "freq_list":
+        return st.lists(number, max_size=4, unique=True).map(lambda v: tuple(sorted(v)))
+    return number
+
+
+def _block_strategy(section, cls):
+    parts = {}
+    for fld in fields(cls):
+        key = f"{section}.{fld.name}"
+        value = _value_strategy(*KEY_SPECS[key])
+        parts[fld.name] = value if key in REQUIRED else value | st.just(fld.default)
+    return st.fixed_dictionaries(parts).map(lambda kw: cls(**kw))
+
+
+def _section_strategy(section, cls):
+    block = _block_strategy(section, cls)
+    # these blocks may be absent; the others always hold their defaults
+    return block | st.none() if section in ("transmon", "rates", "drive", "cavity") else block
+
+
+CONFIGS = st.builds(
+    ExperimentConfig,
+    units=st.sampled_from(sorted(UNIT_SCALES)),
+    **{section: _section_strategy(section, cls) for section, cls in BLOCKS.items()},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=CONFIGS)
+def test_serialization_roundtrip_over_every_key(cfg):
+    assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+def _rejections():
+    """(config text, key, exact message) for a value just past each bound and
+    for each required key left out of its block."""
+    for key, (kind, op, limit) in KEY_SPECS.items():
+        if op == "ascending":
+            value, message = "2,1", f"{key} must be strictly increasing"
+        elif op is not None:
+            bad = limit if op == ">" else limit - (1 if kind == "int" else 1e-9)
+            value = str(bad)
+            message = f"{key} must be {op} {limit} (got {bad if kind == 'int' else float(bad)})"
+        else:
+            continue
+        yield pytest.param(FULL + f"{key} = {value}\n", key, message, id=key)
+    for key in REQUIRED:
+        text = "".join(line + "\n" for line in FULL.splitlines()
+                       if not line.startswith(f"{key} "))
+        message = f"config block '{key.split('.')[0]}' is missing key '{key}'"
+        yield pytest.param(text, key, message, id=f"missing-{key}")
+
+
+@pytest.mark.parametrize("text, key, message", list(_rejections()))
+def test_bounds_and_required_keys_name_the_key(text, key, message):
+    with pytest.raises(ValidationError) as err:
+        parse_config_text(text)
+    assert (str(err.value), err.value.key) == (message, key)
 
 
 class TestSpectrumCsv:

@@ -10,7 +10,7 @@ from eitats.model_selection import (
     aic,
     crossing_threshold,
     discriminate,
-    per_point_weights,
+    akaike_weights,
     weight_sweep,
 )
 from eitats.synth import synth_spectrum
@@ -41,39 +41,39 @@ class TestAic:
 
 class TestPerPointWeights:
     def test_equal_losses(self):
-        assert per_point_weights(1.3, 1.3) == (0.5, 0.5)
+        assert akaike_weights(1.3, 1.3) == (0.5, 0.5)
 
     def test_saturation(self):
-        w_eit, w_ats = per_point_weights(0.0, 100.0)
+        w_eit, w_ats = akaike_weights(0.0, 100.0)
         assert w_eit == pytest.approx(1.0, abs=1e-15)
         assert w_ats == pytest.approx(0.0, abs=1e-15)
 
     def test_small_gap_value(self):
-        w_eit, _ = per_point_weights(2.0 / 61.0 + 0.7, 0.7)
+        w_eit, _ = akaike_weights(2.0 / 61.0 + 0.7, 0.7)
         assert w_eit == pytest.approx(1.0 / (1.0 + math.exp(1.0 / 61.0)), rel=1e-12)
         assert w_eit == pytest.approx(0.4959, abs=1e-4)
 
     def test_sentinel_handling(self):
-        assert per_point_weights(float("-inf"), 1.0) == (1.0, 0.0)
-        assert per_point_weights(1.0, float("-inf")) == (0.0, 1.0)
-        assert per_point_weights(float("-inf"), float("-inf")) == (0.5, 0.5)
+        assert akaike_weights(float("-inf"), 1.0) == (1.0, 0.0)
+        assert akaike_weights(1.0, float("-inf")) == (0.0, 1.0)
+        assert akaike_weights(float("-inf"), float("-inf")) == (0.5, 0.5)
 
     def test_sum_exactly_one(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             a, b = rng.normal(scale=30.0, size=2)
-            w, v = per_point_weights(a, b)
+            w, v = akaike_weights(a, b)
             assert w + v == 1.0
             assert 0.0 <= w <= 1.0
 
     def test_monotone_in_gap(self):
         gaps = np.linspace(-10.0, 10.0, 41)
-        weights = [per_point_weights(g, 0.0)[0] for g in gaps]
+        weights = [akaike_weights(g, 0.0)[0] for g in gaps]
         assert all(a >= b for a, b in zip(weights, weights[1:]))
 
     def test_relabeling_symmetry(self):
-        w, v = per_point_weights(1.1, 2.9)
-        v2, w2 = per_point_weights(2.9, 1.1)
+        w, v = akaike_weights(1.1, 2.9)
+        v2, w2 = akaike_weights(2.9, 1.1)
         assert (w, v) == (w2, v2)
 
 

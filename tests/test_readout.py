@@ -128,6 +128,9 @@ class TestCompositeTransmission:
         assert normalized_transmission(t, t0, t2) == pytest.approx(1.0, rel=1e-15)
         t = composite_transmission(ket_rho(0), t0, t1, t2)
         assert normalized_transmission(t, t0, t2) == pytest.approx(0.0, abs=1e-15)
+        # a stack of states gives one transmission per state
+        stack = np.stack([ket_rho(k) for k in range(3)])
+        assert np.array_equal(composite_transmission(stack, t0, t1, t2), [t0, t1, t2])
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(4)
