@@ -346,6 +346,8 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
         "n_seeds": sweep.n_seeds,
         "n_points": config.drive.delta_points,
         "n_failed_fits": int(np.sum(sweep.n_failed)),
+        # cells fitted without both fits converging
+        "n_nonconverged_fits": int(np.sum(~sweep.converged & ~np.isnan(sweep.w_eit))),
     }
     try:
         crossing = crossing_threshold(grid, sweep.w_eit_mean)

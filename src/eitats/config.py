@@ -62,8 +62,9 @@ def _key(kind: str, bound, default=MISSING):
     """Block field for one config key.
 
     ``kind`` is freq (unit suffix allowed), plain, int, str, freq_list or
-    plain_list; ``bound`` is ``(op, limit)`` with op ``>`` or ``>=``, or
-    ``"ascending"`` for a list.  A field without a default is a required key.
+    plain_list; ``bound`` is ``(op, limit)`` with op ``>`` or ``>=``, checked
+    on every element of a list, and a third element ``"ascending"`` for a list
+    that must strictly increase.  A field without a default is a required key.
     """
     return field(default=default, metadata={"kind": kind, "bound": bound})
 
@@ -96,7 +97,7 @@ class DriveBlock:
     delta: float = _key("freq", None, 0.0)
     delta_span: float | None = _key("freq", (">", 0), None)
     delta_points: int = _key("int", (">=", 2), 61)
-    omega_c_grid: tuple = _key("freq_list", "ascending", ())
+    omega_c_grid: tuple = _key("freq_list", (">=", 0, "ascending"), ())
 
 
 @dataclass(frozen=True)
@@ -231,15 +232,15 @@ _OPS = {">": operator.gt, ">=": operator.ge}
 
 
 def _check_bound(key: str, value, bound):
+    if bound is None:
+        return
     items = value if isinstance(value, tuple) else (value,)
-    if bound == "ascending":
-        if any(b <= a for a, b in zip(items, items[1:])):
-            raise ValidationError(f"{key} must be strictly increasing", key)
-    elif bound is not None:
-        op, limit = bound
-        for item in items:
-            if not _OPS[op](item, limit):
-                raise ValidationError(f"{key} must be {op} {limit} (got {item})", key)
+    op, limit, *order = bound
+    for item in items:
+        if not _OPS[op](item, limit):
+            raise ValidationError(f"{key} must be {op} {limit} (got {item})", key)
+    if order and any(b <= a for a, b in zip(items, items[1:])):
+        raise ValidationError(f"{key} must be strictly increasing", key)
 
 
 def _parse_scalar(token: str, kind: str, key: str, file_scale: float, line_no: int):

@@ -1,4 +1,4 @@
-"""Separable least-squares fitting of spectra and time traces.
+"""Separable least-squares fitting of spectra and time traces, in stacks.
 
 Every model family is linear in its amplitudes and offsets once its one or
 two nonlinear parameters (control strength, widths, center, splitting, decay
@@ -8,7 +8,13 @@ from a closed-form least-squares solve, non-negative where the model needs
 it; the best point of a fixed coarse grid over the nonlinear parameters is
 the start; and :func:`nlls_minimize` (Levenberg-Marquardt damped Gauss-Newton
 with a central-difference Jacobian) polishes only the nonlinear parameters,
-positive ones in log coordinates.  Identical inputs give bit-identical results.
+positive ones in log coordinates.
+
+A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
+one pass: grid starts are scored in blocks of rows, and one minimizer loop
+keeps a damping per cell and a mask of the cells still iterating.  Rows meet
+only in per-row ``einsum`` reductions, elementwise operations and stacked
+LAPACK calls, so a cell's fit is bit-identical to that of its curve alone.
 """
 
 from __future__ import annotations
@@ -19,17 +25,17 @@ import numpy as np
 
 from .spectra import ExactModelParams, tprime_exact
 
-__all__ = [
-    "Dataset", "FitResult", "SingularJacobian", "nlls_minimize",
-    "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_lorentzian",
-    "fit_damped_sinusoid", "lorentzian_curve", "damped_sinusoid_curve",
-]
+__all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimize",
+           "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_lorentzian",
+           "fit_damped_sinusoid", "lorentzian_curve", "damped_sinusoid_curve"]
 
 MAX_ITERATIONS = 500
 FTOL = 1e-12
 GTOL = 1e-10
 FD_REL_STEP = 1e-6
 LOW_SIGNAL_FRACTION = 1e-4
+# grid starts are scored this many curve values per ``project`` call at most
+START_BLOCK = 1 << 13
 # Smallest relative width split gamma_plus/gamma_minus - 1 of the difference
 # form.  Above the window the best fit tends to coincident widths, which the
 # amplitudes can only follow by diverging; the residual is quadratic in the
@@ -48,16 +54,16 @@ class SingularJacobian(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Fit data: finite values on a strictly increasing abscissa."""
+    """Fit data: finite values, one curve or a ``(cells, points)`` stack, on
+    one strictly increasing abscissa."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape:
-            raise ValueError("x and y must be 1-D arrays of equal length")
+        x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
+        if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1:] != x.shape:
+            raise ValueError("x must be 1-D and y of shape (points,) or (cells, points)")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("x and y must be finite (no NaN or inf)")
         if x.size >= 2 and np.any(np.diff(x) <= 0):
@@ -82,13 +88,40 @@ class FitResult:
     warnings: tuple = field(default_factory=tuple)
 
 
+class FitBatch(tuple):
+    """A stack's fits: per cell a :class:`FitResult`, or the exception its fit
+    raised.  ``iterations`` is the most any cell took; ``converged``, all did."""
+
+    iterations = property(lambda self: max(
+        (c.iterations for c in self if isinstance(c, FitResult)), default=0))
+    converged = property(lambda self: all(isinstance(c, FitResult) and c.converged for c in self))
+
+
 def _check_size(data: Dataset, n_params: int):
     if len(data) < n_params + 1:
         raise ValueError(f"need at least {n_params + 1} points to fit {n_params} parameters")
 
 
+def _unstack(data: Dataset, cells: list):
+    """A :class:`FitBatch` for a stack; for one curve its result, or its raise."""
+    if data.y.ndim == 1 and isinstance(cells[0], Exception):
+        raise cells[0]
+    return FitBatch(cells) if data.y.ndim == 2 else cells[0]
+
+
+def _solve(m, b):
+    """Stacked solve of ``m x = b``, and which systems are singular (NaN rows)."""
+    try:
+        return np.linalg.solve(m, b[..., None])[..., 0], np.zeros(len(b), dtype=bool)
+    except np.linalg.LinAlgError:  # an exact zero pivot, which det finds too
+        singular = np.linalg.det(m) == 0.0
+        m = np.where(singular[:, None, None], np.eye(b.shape[1]), m)
+        step = np.linalg.solve(m, b[..., None])[..., 0]
+        return np.where(singular[:, None], np.nan, step), singular
+
+
 def nlls_minimize(model, data: Dataset, init, *,
-                  max_iterations: int = MAX_ITERATIONS) -> FitResult:
+                  max_iterations: int = MAX_ITERATIONS) -> FitResult | FitBatch:
     """Minimize sum of squared residuals of ``model(x, p)`` against the data.
 
     Levenberg-Marquardt damping on the Gauss-Newton normal equations with a
@@ -100,161 +133,173 @@ def nlls_minimize(model, data: Dataset, init, *,
     ``converged=False``.  A model insensitive to every parameter at the start
     raises :class:`SingularJacobian`; one that becomes so after accepted steps
     has reached a stationary point.  Parameters are reported as ``p0, p1, ...``.
+
+    For a stack, ``init`` is ``(cells, n)`` and ``model(x, p, rows)`` gives the
+    curves of the cells ``rows`` (which may repeat) at the parameters ``p``.
     """
-    p = np.array(init, dtype=float)
-    n_par = p.size
+    p = np.array(init, dtype=float, ndmin=2)
+    cells, n_par = p.shape
     _check_size(data, n_par)
+    if data.y.ndim == 1:
+        model = (lambda one: lambda x, q, rows: np.array([one(x, qi) for qi in q]))(model)
+    x, y = data.x, data.y.reshape(cells, -1)
+    errors, eye = {}, np.eye(n_par)
+    lam, converged, iterations = np.full(cells, 1e-3), np.zeros(cells, bool), np.zeros(cells, int)
 
-    def residual(params):
-        # exploratory steps may overflow; non-finite trials are rejected
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = data.y - model(data.x, params)
-            rss_val = float(r @ r)
-        return (r, rss_val) if np.isfinite(rss_val) else None
+    def residual(params, rows):
+        r = y[rows] - model(x, params, rows)
+        return r, np.einsum("cp,cp->c", r, r)
 
-    start = residual(p)
-    if start is None:
-        raise ValueError("model is not finite at the initial parameters")
-    r, rss = start
-    lam = 1e-3
-    converged = False
-    iterations = 0
+    def fail(rows, exc):
+        errors.update(dict.fromkeys(rows.tolist(), exc))
+        live[rows] = False
 
-    for iterations in range(1, max_iterations + 1):
-        jac = np.empty((len(data), n_par))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for k in range(n_par):
-                h = FD_REL_STEP * max(abs(p[k]), 1.0)
-                shift = np.zeros(n_par)
-                shift[k] = h
-                jac[:, k] = (model(data.x, p + shift) - model(data.x, p - shift)) / (2.0 * h)
-        if not np.all(np.isfinite(jac)):
-            raise SingularJacobian("Jacobian is not finite")
-
-        grad = jac.T @ r
-        col_norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
-        active = col_norms > 0.0
-        if iterations == 1 and not np.any(active):
-            raise SingularJacobian("model is insensitive to every parameter")
-        # an exact fit, a model that progress has flattened, or a scale-free
-        # gradient (cosine between residual and columns) below GTOL
-        r_norm = np.sqrt(rss)
-        if (r_norm == 0.0 or not np.any(active)
-                or np.max(np.abs(grad[active]) / (col_norms[active] * r_norm)) < GTOL):
-            converged = True
-            break
-
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        # a parameter the model is momentarily blind to (zero column, e.g. a
-        # splitting sitting exactly at zero) is frozen by full damping rather
-        # than treated as a failure
-        diag[diag <= 0.0] = np.max(diag)
-
-        accepted = False
-        saw_finite_trial = False
-        while lam < 1e15:
-            try:
-                p_try = p + np.linalg.solve(jtj + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobian(str(exc)) from exc
-            trial = residual(p_try)
-            if trial is not None:
-                saw_finite_trial = True
-                r_try, rss_try = trial
-                if rss_try < rss:
-                    converged = rss - rss_try <= FTOL * max(rss_try, 1e-300)
-                    p, r, rss = p_try, r_try, rss_try
-                    lam = max(lam * 0.1, 1e-14)
-                    accepted = True
-                    break
-            lam *= 10.0
-        if not accepted:
+    # exploratory steps may overflow; non-finite trials are rejected
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r, rss = residual(p, np.arange(cells))
+        live = np.isfinite(rss)
+        fail(np.flatnonzero(~live), ValueError("model is not finite at the initial parameters"))
+        for it in range(1, max_iterations + 1):
+            rows = np.flatnonzero(live)
+            if rows.size == 0:
+                break
+            iterations[rows] = it
+            # both central-difference shifts of every parameter, in one call
+            h = FD_REL_STEP * np.maximum(np.abs(p[rows]), 1.0)
+            shifted = [p[rows] + sign * eye[k] * h for k in range(n_par) for sign in (1, -1)]
+            curves = model(x, np.concatenate(shifted), np.tile(rows, 2 * n_par))
+            plus, minus = curves.reshape(n_par, 2, rows.size, -1).transpose(1, 2, 3, 0)
+            jac = (plus - minus) / (2.0 * h[:, None, :])
+            ok = np.isfinite(jac).all(axis=(1, 2))
+            fail(rows[~ok], SingularJacobian("Jacobian is not finite"))
+            grad = np.einsum("cpk,cp->ck", jac, r[rows])
+            col_norms = np.sqrt(np.einsum("cpk,cpk->ck", jac, jac))
+            active = col_norms > 0.0
+            blind = ~active.any(axis=1)
+            if it == 1:
+                fail(rows[ok & blind], SingularJacobian("model is insensitive to every parameter"))
+                ok &= ~blind
+            # an exact fit, a model that progress has flattened, or a scale-free
+            # gradient (cosine between residual and columns) below GTOL
+            r_norm = np.sqrt(rss[rows])
+            cosine = np.where(active, np.abs(grad) / (col_norms * r_norm[:, None]), 0.0).max(axis=1)
+            done = ok & ((r_norm == 0.0) | blind | (cosine < GTOL))
+            converged[rows[done]], live[rows[done]] = True, False
+            rows, jac, grad = rows[ok & ~done], jac[ok & ~done], grad[ok & ~done]
+            jtj = np.einsum("cpk,cpl->ckl", jac, jac)
+            diag = np.diagonal(jtj, axis1=1, axis2=2)
+            # a parameter the model is momentarily blind to (zero column, e.g. a
+            # splitting at exactly zero) is frozen by full damping, not failed
+            damping = eye * np.where(diag > 0.0, diag, diag.max(axis=1, keepdims=True))[:, None]
+            accepted, saw_finite_trial = np.zeros((2, rows.size), dtype=bool)
+            trying = lam[rows] < 1e15
+            while trying.any():
+                t = np.flatnonzero(trying)
+                at = rows[t]
+                step, singular = _solve(jtj[t] + lam[at, None, None] * damping[t], grad[t])
+                fail(at[singular], SingularJacobian("normal equations are singular"))
+                p_try = p[at] + step
+                r_try, rss_try = residual(p_try, at)
+                saw_finite_trial[t] |= np.isfinite(rss_try)
+                better = rss_try < rss[at]
+                won, rss_won = at[better], rss_try[better]
+                converged[won] = rss[won] - rss_won <= FTOL * np.maximum(rss_won, 1e-300)
+                p[won], r[won], rss[won] = p_try[better], r_try[better], rss_won
+                lam[won] = np.maximum(lam[won] * 0.1, 1e-14)
+                lam[at[~better]] *= 10.0
+                accepted[t[better]] = True
+                trying[t] = ~better & ~singular & (lam[at] < 1e15)
             # no damping level improves the residual: a numerical stationary
             # point when the landscape stayed finite, a failure otherwise
-            converged = saw_finite_trial
-            break
-        if converged:
-            break
-
-    return FitResult(
-        parameters={f"p{k}": float(val) for k, val in enumerate(p)},
-        residual_sum=rss,
-        n_points=len(data),
-        n_params=n_par,
-        converged=converged,
-        iterations=iterations,
-    )
+            converged[rows[~accepted]] = saw_finite_trial[~accepted]
+            live[rows] &= accepted & ~converged[rows]
+    return _unstack(data, [errors.get(c) or FitResult(
+        {f"p{k}": float(v) for k, v in enumerate(p[c])}, float(rss[c]), len(data), n_par,
+        bool(converged[c]), int(iterations[c])) for c in range(cells)])
 
 
 # --- the separable core: closed-form linear solves, grid start, polish ---
 
-def _require_variance(data: Dataset):
-    if np.max(data.y) - np.min(data.y) <= 0.0:
-        raise SingularJacobian("data has zero variance; nothing to fit")
-
-
-def _lstsq(columns, data: Dataset):
-    """Unconstrained best coefficients of ``columns`` and the curve they give.
-
-    Columns that overflowed on an exploratory step give a NaN curve, which
-    the minimizer rejects like any other non-finite trial.
-    """
-    basis = np.array(columns, dtype=float, ndmin=2)
-    if not np.all(np.isfinite(basis)):
-        return np.full(basis.shape[0], np.nan), np.full(basis.shape[1], np.nan)
-    # unit-norm columns: the rank cutoff is relative, and the columns of one
-    # basis can differ in scale by many orders of magnitude
-    norms = np.sqrt(np.einsum("ij,ij->i", basis, basis))
-    norms[norms == 0.0] = 1.0
-    try:
-        coef = np.linalg.lstsq(basis.T / norms, data.y, rcond=None)[0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"linear solve failed: {exc}") from exc
-    coef = coef / norms
-    return coef, coef @ basis
-
-
-def _nonneg(column, data: Dataset):
-    """Best non-negative multiple of one column (one-column NNLS)."""
-    (c,), curve = _lstsq([column], data)
-    return (float(c), curve) if not c < 0.0 else (0.0, np.zeros_like(curve))
-
-
-def _rss(curve, data: Dataset) -> float:
-    r = data.y - curve
-    value = float(r @ r)
-    return value if np.isfinite(value) else np.inf
-
-
-def _separable_fit(data: Dataset, project, starts, signal: str | None = None) -> FitResult:
-    """Variable-projection fit over the nonlinear parameters ``u``.
-
-    ``project(u)`` returns the named parameters - ``u`` mapped to the model's
-    own and the closed-form linear ones at ``u`` - and the curve they give.
-    The polish starts from the grid point in ``starts`` with the lowest
-    residual.  A parameter named ``signal`` below the low-signal floor flags
-    the fit ``low_signal``; a start already below it is returned unpolished,
-    because its curve does not depend on ``u``.
-    """
-    u = min((np.asarray(s, dtype=float) for s in starts), key=lambda s: _rss(project(s)[1], data))
-    params, curve = project(u)
-    _check_size(data, len(params))
-    floor = LOW_SIGNAL_FRACTION * max(float(np.max(np.abs(data.y))), 1e-300)
-    if signal is not None and params[signal] < floor:
-        converged, iterations = True, 0
+def _lstsq(basis, y, nonneg=False):
+    """Best coefficients of a ``(cells, columns, points)`` basis for the rows of
+    ``y``, and their curves.  As ``np.linalg.lstsq(rcond=None)`` on unit-norm
+    columns: the columns can differ in scale by many orders of magnitude.  An
+    overflowed basis gives a NaN curve, rejected like any non-finite trial.
+    ``nonneg`` makes a one-column solve the one-column NNLS."""
+    sq = np.einsum("cnp,cnp->cn", basis, basis)
+    if basis.shape[1] == 1:  # the cutoff only drops a zero column; inf gives NaN
+        coef = np.einsum("cnp,cp->cn", basis, y) / np.where(sq > 0.0, sq, np.inf)
+        coef = np.where(coef < 0.0, 0.0, coef) if nonneg else coef
     else:
-        res = nlls_minimize(lambda x, v: project(v)[1], data, u)
-        params, curve = project(np.array(list(res.parameters.values())))
-        converged, iterations = res.converged, res.iterations
-    low = signal is not None and params[signal] < floor
-    return FitResult(parameters=params, residual_sum=_rss(curve, data), n_points=len(data),
-                     n_params=len(params), converged=converged, iterations=iterations,
-                     warnings=("low_signal",) if low else ())
+        bad = ~np.isfinite(sq).all(axis=1)
+        norms = np.sqrt(np.where((sq > 0.0) & ~bad[:, None], sq, 1.0))
+        unit = basis / norms[..., None]
+        unit[bad] = 0.0
+        u, s, vt = np.linalg.svd(unit.transpose(0, 2, 1), full_matrices=False)
+        kept = s > np.finfo(float).eps * max(basis.shape[1:]) * s[:, :1]
+        uy = np.divide(np.einsum("cpn,cp->cn", u, y), s, out=np.zeros_like(s), where=kept)
+        coef = np.einsum("cn,cnk->ck", uy, vt) / norms
+        coef[bad] = np.nan
+    return coef, np.einsum("cn,cnp->cp", coef, basis)
+
+
+def _rss(curve, y):
+    value = np.einsum("cp,cp->c", y - curve, y - curve)
+    return np.where(np.isfinite(value), value, np.inf)
+
+
+def _separable_fit(data: Dataset, project, starts, signal: str | None = None,
+                   flat_ok: bool = False) -> FitResult | FitBatch:
+    """Variable-projection fit over the nonlinear parameters ``u``, per cell.
+
+    ``project(u, y)`` maps ``(cells, n_u)`` parameters and ``(cells, points)``
+    data to the named parameters (``u`` mapped to the model's own, and the
+    closed-form linear ones) and the curves.  The polish starts from the first
+    grid start of lowest residual.  A ``signal`` parameter below the
+    low-signal floor flags the fit ``low_signal``, and a start below it is not
+    polished: its curve does not depend on ``u``.  Unless ``flat_ok``, flat
+    data fails.
+    """
+    y = data.y.reshape(-1, len(data))
+    cells = len(y)
+    starts = np.array(starts, dtype=float)
+    u, best = np.repeat(starts[:1], cells, axis=0), np.full(cells, np.inf)
+    per_call = max(1, START_BLOCK // y.size)
+    for first in range(0, len(starts), per_call):
+        block = starts[first:first + per_call]
+        tiled = np.tile(y, (len(block), 1))
+        rss = _rss(project(np.repeat(block, cells, axis=0), tiled)[1], tiled).reshape(-1, cells)
+        low = rss.min(axis=0)
+        better = low < best
+        u[better], best[better] = block[rss.argmin(axis=0)[better]], low[better]
+    params = project(u, y)[0]
+    _check_size(data, len(params))
+    flat = np.zeros(cells, bool) if flat_ok else np.max(y, axis=1) - np.min(y, axis=1) <= 0.0
+    errors = dict.fromkeys(np.flatnonzero(flat).tolist(),
+                           SingularJacobian("data has zero variance; nothing to fit"))
+    floor = LOW_SIGNAL_FRACTION * np.maximum(np.max(np.abs(y), axis=1), 1e-300)
+    converged = flat | (params[signal] < floor if signal else False)
+    iterations, rows = np.zeros(cells, int), np.flatnonzero(~converged)
+    if rows.size:
+        stack = y[rows]
+        batch = nlls_minimize(lambda x, v, sub: project(v, stack[sub])[1],
+                              Dataset(data.x, stack), u[rows])
+        for c, fit in zip(rows.tolist(), batch):
+            if isinstance(fit, Exception):
+                errors[c] = fit
+            else:
+                u[c] = list(fit.parameters.values())
+                converged[c], iterations[c] = fit.converged, fit.iterations
+    params, curve = project(u, y)
+    rss, low = _rss(curve, y), (params[signal] < floor if signal else np.zeros(cells, bool))
+    return _unstack(data, [errors.get(c) or FitResult(
+        {key: float(v[c]) for key, v in params.items()}, float(rss[c]), len(data), len(params),
+        bool(converged[c]), int(iterations[c]), ("low_signal",) if low[c] else ())
+        for c in range(cells)])
 
 
 def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
-                          control_hint: float | None = None) -> FitResult:
+                          control_hint: float | None = None) -> FitResult | FitBatch:
     """Fit the exact curve with fixed coherence rates; k = 2 parameters.
 
     The control strength is nonlinear and the combined overall amplitude
@@ -262,14 +307,12 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
     multimodal once the doublet splits, so the start is the best of a fixed
     geometric grid of controls, plus ``control_hint`` when given.
     """
-    _require_variance(data)
-
-    def project(u):
-        control = _exp(u[0])
-        amplitude, curve = _nonneg(tprime_exact(data.x, ExactModelParams(
-            amplitude=1.0, probe=1.0, control=control,
-            gamma_10=gamma_10, gamma_20=gamma_20)), data)
-        return {"control": float(control), "amplitude": amplitude}, curve
+    def project(u, y):
+        control = _exp(u[:, 0])
+        amplitude, curve = _lstsq(np.array([tprime_exact(data.x, ExactModelParams(
+            amplitude=1.0, probe=1.0, control=c, gamma_10=gamma_10, gamma_20=gamma_20))
+            for c in control])[:, None], y, nonneg=True)
+        return {"control": control, "amplitude": amplitude[:, 0]}, curve
 
     controls = list(np.geomspace(0.02, 3.2, 25) * max(gamma_20, -data.x[0], data.x[-1]))
     if control_hint is not None and control_hint > 0:
@@ -277,7 +320,7 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
     return _separable_fit(data, project, np.log(controls)[:, None], signal="amplitude")
 
 
-def fit_eit_model(data: Dataset) -> FitResult:
+def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
     """Fit the difference-of-Lorentzians form; k = 4 parameters.
 
     The widths are searched as the logs of their geometric mean and of their
@@ -288,24 +331,24 @@ def fit_eit_model(data: Dataset) -> FitResult:
     coincide.  The fitted curve may go negative when forced onto
     doublet-regime data, which is reported as-is rather than clamped.
     """
-    _require_variance(data)
     x2 = data.x**2
 
-    def project(u):
-        mean, split = _exp(u[0]), max(_exp(u[1]), MIN_SPLIT)
+    def project(u, y):
+        mean, split = np.maximum(_exp(u), [0.0, MIN_SPLIT]).T
         gp, gm = mean * np.sqrt(1.0 + split), mean / np.sqrt(1.0 + split)
-        broad, narrow = 1.0 / (x2 + gp**2), 1.0 / (x2 + gm**2)
-        (a, b), curve = _lstsq([broad, broad * narrow], data)
-        cp, cm = a - b / (gm * split * (gp + gm)), -b / (gm * split * (gp + gm))
-        if not (cp >= 0.0 and cm >= 0.0):
+        broad, narrow = 1.0 / (x2 + gp[:, None] ** 2), 1.0 / (x2 + gm[:, None] ** 2)
+        ab, curve = _lstsq(np.stack([broad, broad * narrow], axis=1), y)
+        cm = -ab[:, 1] / (gm * split * (gp + gm))
+        cp = ab[:, 0] + cm
+        edge = ~((cp >= 0.0) & (cm >= 0.0))
+        if edge.any():
             # the constrained optimum lies on an edge of the non-negative quadrant
-            (cp, broad_curve), (cm, narrow_curve) = _nonneg(broad, data), _nonneg(-narrow, data)
-            if _rss(broad_curve, data) <= _rss(narrow_curve, data):
-                cm, curve = 0.0, broad_curve
-            else:
-                cp, curve = 0.0, narrow_curve
-        return {"cplus_sq": float(cp), "cminus_sq": float(cm),
-                "gamma_plus": float(gp), "gamma_minus": float(gm)}, curve
+            (cp_e, on), (cm_e, off) = (_lstsq(column[edge, None], y[edge], nonneg=True)
+                                       for column in (broad, -narrow))
+            wins = _rss(on, y[edge]) <= _rss(off, y[edge])
+            cp[edge], cm[edge] = np.where(wins, cp_e[:, 0], 0.0), np.where(wins, 0.0, cm_e[:, 0])
+            curve[edge] = np.where(wins[:, None], on, off)
+        return {"cplus_sq": cp, "cminus_sq": cm, "gamma_plus": gp, "gamma_minus": gm}, curve
 
     span = max(-data.x[0], data.x[-1])
     starts = [[0.5 * np.log(gp * gm), np.log(gp / gm - 1.0)]
@@ -314,22 +357,22 @@ def fit_eit_model(data: Dataset) -> FitResult:
     return _separable_fit(data, project, starts)
 
 
-def fit_ats_model(data: Dataset) -> FitResult:
+def fit_ats_model(data: Dataset) -> FitResult | FitBatch:
     """Fit the shifted-doublet form; k = 3 parameters.
 
     The width is searched in log coordinates and the half-splitting linearly
     (as |.|) so it can reach 0; the common amplitude is a one-column
     non-negative least-squares solve.
     """
-    _require_variance(data)
+    x = data.x
 
-    def project(u):
-        gamma, d0 = _exp(u[0]), abs(u[1])
-        c_sq, curve = _nonneg(1.0 / ((data.x - d0) ** 2 + gamma**2)
-                              + 1.0 / ((data.x + d0) ** 2 + gamma**2), data)
-        return {"c_sq": c_sq, "gamma": float(gamma), "delta_0": float(d0)}, curve
+    def project(u, y):
+        gamma, d0 = _exp(u[:, :1]), np.abs(u[:, 1:])
+        column = 1.0 / ((x - d0) ** 2 + gamma**2) + 1.0 / ((x + d0) ** 2 + gamma**2)
+        c_sq, curve = _lstsq(column[:, None], y, nonneg=True)
+        return {"c_sq": c_sq[:, 0], "gamma": gamma[:, 0], "delta_0": d0[:, 0]}, curve
 
-    span = max(-data.x[0], data.x[-1])
+    span = max(-x[0], x[-1])
     starts = [[np.log(gamma), d0] for d0 in np.linspace(0.0, 0.9 * span, 10)
               for gamma in np.geomspace(span / 60.0, span, 8)]
     return _separable_fit(data, project, starts)
@@ -340,27 +383,27 @@ def lorentzian_curve(x, center, half_width, amplitude, offset=0.0):
     return offset + amplitude * half_width**2 / ((x - center) ** 2 + half_width**2)
 
 
-def fit_lorentzian(data: Dataset) -> FitResult:
+def fit_lorentzian(data: Dataset) -> FitResult | FitBatch:
     """Peak fit: center, half-width, amplitude (>= 0), plus a constant offset.
 
     Near-zero fitted amplitude is flagged ``low_signal`` instead of being
     treated as a successful peak.
     """
     x = data.x
-    ones = np.ones_like(x)
 
-    def project(u):
-        half_width = _exp(u[1])
-        (amplitude, offset), curve = _lstsq(
-            [lorentzian_curve(x, u[0], half_width, 1.0), ones], data)
-        if amplitude < 0.0:
-            amplitude, ((offset,), curve) = 0.0, _lstsq([ones], data)
-        return {"center": float(u[0]), "half_width": float(half_width),
-                "amplitude": float(amplitude), "offset": float(offset)}, curve
+    def project(u, y):
+        peak = lorentzian_curve(x, u[:, :1], _exp(u[:, 1:]), 1.0)
+        ones = np.ones_like(peak)
+        coef, curve = _lstsq(np.stack([peak, ones], axis=1), y)
+        flat, flat_curve = _lstsq(ones[:, None], y)
+        negative = coef[:, 0] < 0.0
+        amplitude, offset = np.where(negative, [np.zeros_like(flat[:, 0]), flat[:, 0]], coef.T)
+        return ({"center": u[:, 0], "half_width": _exp(u[:, 1]), "amplitude": amplitude,
+                 "offset": offset}, np.where(negative[:, None], flat_curve, curve))
 
     starts = [[center, np.log(hw)] for center in np.linspace(x[0], x[-1], 41)
               for hw in np.geomspace(float(np.min(np.diff(x))), x[-1] - x[0], 10)]
-    return _separable_fit(data, project, starts, signal="amplitude")
+    return _separable_fit(data, project, starts, signal="amplitude", flat_ok=True)
 
 
 def damped_sinusoid_curve(t, offset, amplitude, decay_time, period, phase):
@@ -376,28 +419,26 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     from a grid of periods half a cycle per trace apart up to the sampling
     limit.  The amplitude is reported non-negative with the phase in
     (-pi, pi].  A decay time or period that ends on one of those limits is
-    no measurement of it, and flags the fit ``at_limit``.
+    no measurement of it, and flags the fit ``at_limit``.  One trace at a time.
     """
-    t = data.x
-    span = t[-1] - t[0]
+    t, span = data.x, data.x[-1] - data.x[0]
     min_dt = float(np.min(np.diff(t)))
-    ones = np.ones_like(t)
     lo = np.log([0.05 * min_dt, 1.9 * min_dt])
     hi = np.log([1e8 * span, 20.0 * span])
 
-    def project(u):
-        decay, period = np.exp(np.clip(u, lo, hi))
-        envelope, arg = np.exp(-t / decay), 2.0 * np.pi * t / period
-        (offset, a_cos, a_sin), curve = _lstsq(
-            [ones, envelope * np.cos(arg), -envelope * np.sin(arg)], data)
-        return {"offset": float(offset), "amplitude": float(np.hypot(a_cos, a_sin)),
-                "decay_time": float(decay), "period": float(period),
-                "phase": float(np.arctan2(a_sin, a_cos))}, curve
+    def project(u, y):
+        decay, period = np.exp(np.clip(u, lo, hi)).T
+        envelope, arg = np.exp(-t / decay[:, None]), 2.0 * np.pi * t / period[:, None]
+        coef, curve = _lstsq(np.stack(
+            [np.ones_like(arg), envelope * np.cos(arg), -envelope * np.sin(arg)], axis=1), y)
+        offset, a_cos, a_sin = coef.T
+        return {"offset": offset, "amplitude": np.hypot(a_cos, a_sin), "decay_time": decay,
+                "period": period, "phase": np.arctan2(a_sin, a_cos)}, curve
 
     cycles = np.arange(0.5, 0.5 * span / min_dt + 0.25, 0.5)
     starts = [[np.log(decay), np.log(span / n)] for n in cycles
               for decay in span * np.array([0.05, 0.3, 1.0])]
-    fit = _separable_fit(data, project, starts, signal="amplitude")
+    fit = _separable_fit(data, project, starts, signal="amplitude", flat_ok=True)
     # project() returns exactly exp(lo) or exp(hi) for a clipped polish
     decay_period = np.array([fit.parameters["decay_time"], fit.parameters["period"]])
     if np.any(decay_period <= np.exp(lo)) or np.any(decay_period >= np.exp(hi)):

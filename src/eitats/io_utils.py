@@ -28,7 +28,7 @@ __all__ = [
     "write_json_report",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TWO_PI_MHZ = 2.0 * math.pi * 1e6
 
 

@@ -13,9 +13,9 @@ in either regime, which is what the regime classification thresholds require
 (the soft per-point variant, the same formula on Ibar, cannot exceed ~0.7 at a
 few percent noise no matter how decisive the fit comparison is).
 
-The sweep generates seeded synthetic spectra, fits both reduced models on
-each, averages the weights over seeds, and locates the drive strength where
-the mean difference-form weight crosses one half.
+The sweep generates seeded synthetic spectra, fits both reduced models to all
+of them as one stack per model, averages the weights over seeds, and locates
+the drive strength where the mean difference-form weight crosses one half.
 """
 
 from __future__ import annotations
@@ -29,20 +29,9 @@ from .fitting import Dataset, FitResult, SingularJacobian, fit_ats_model, fit_ei
 from .spectra import Spectrum
 from .synth import synth_spectrum
 
-__all__ = [
-    "AicReport",
-    "WeightSweepResult",
-    "CrossingResult",
-    "NonPositiveResidual",
-    "NoCrossing",
-    "aic",
-    "akaike_weights",
-    "discriminate",
-    "weight_sweep",
-    "crossing_threshold",
-    "K_EIT",
-    "K_ATS",
-]
+__all__ = ["AicReport", "WeightSweepResult", "CrossingResult", "NonPositiveResidual",
+           "NoCrossing", "aic", "akaike_weights", "discriminate", "weight_sweep",
+           "crossing_threshold", "K_EIT", "K_ATS"]
 
 K_EIT = 4
 K_ATS = 3
@@ -89,6 +78,12 @@ class WeightSweepResult:
     w_eit_max: np.ndarray
     n_seeds: int
     n_failed: np.ndarray
+    # per cell, shaped (grid, seeds); NaN, False and 0 where the cell failed
+    w_eit: np.ndarray
+    r_eit: np.ndarray
+    r_ats: np.ndarray
+    converged: np.ndarray   # both fits converged
+    iterations: np.ndarray  # LM iterations of both fits together
 
 
 @dataclass(frozen=True)
@@ -129,34 +124,18 @@ def akaike_weights(ibar_eit: float, ibar_ats: float) -> tuple[float, float]:
     return (small, big) if gap > 0 else (big, small)
 
 
-def discriminate(spectrum: Spectrum | Dataset,
-                 eit_fit: FitResult | None = None,
+def discriminate(spectrum: Spectrum | Dataset, eit_fit: FitResult | None = None,
                  ats_fit: FitResult | None = None) -> AicReport:
-    """Fit both reduced models to one spectrum and report losses and weights."""
-    if isinstance(spectrum, Spectrum):
-        data = Dataset(x=spectrum.detunings, y=spectrum.values)
-    else:
-        data = spectrum
-    if eit_fit is None:
-        eit_fit = fit_eit_model(data)
-    if ats_fit is None:
-        ats_fit = fit_ats_model(data)
+    """Fit both reduced models to one spectrum, unless given their fits, and
+    report losses and weights."""
+    data = (Dataset(x=spectrum.detunings, y=spectrum.values) if isinstance(spectrum, Spectrum)
+            else spectrum)
+    eit_fit, ats_fit = eit_fit or fit_eit_model(data), ats_fit or fit_ats_model(data)
     n = len(data)
-    i_eit = aic(n, eit_fit.residual_sum, K_EIT)
-    i_ats = aic(n, ats_fit.residual_sum, K_ATS)
-    w_eit, w_ats = akaike_weights(i_eit, i_ats)
-    inf = float("inf")
-    return AicReport(
-        i_eit=i_eit,
-        i_ats=i_ats,
-        ibar_eit=i_eit / n if not math.isinf(i_eit) else -inf,
-        ibar_ats=i_ats / n if not math.isinf(i_ats) else -inf,
-        w_eit=w_eit,
-        w_ats=w_ats,
-        n_points=n,
-        r_eit=eit_fit.residual_sum,
-        r_ats=ats_fit.residual_sum,
-    )
+    i_eit, i_ats = aic(n, eit_fit.residual_sum, K_EIT), aic(n, ats_fit.residual_sum, K_ATS)
+    ibar_eit, ibar_ats = (i / n if not math.isinf(i) else -math.inf for i in (i_eit, i_ats))
+    return AicReport(i_eit, i_ats, ibar_eit, ibar_ats, *akaike_weights(i_eit, i_ats), n,
+                     eit_fit.residual_sum, ats_fit.residual_sum)
 
 
 def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
@@ -165,56 +144,45 @@ def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
                  base_seed: int = 0) -> WeightSweepResult:
     """Seed-averaged model weights across a control-strength grid.
 
-    Each (grid point, seed) cell generates a synthetic spectrum over
-    ``detunings`` (rad/s; the synth default grid when None), fits both
-    reduced models, and computes the weights; fit failures are counted per
-    cell and excluded from the averages instead of aborting the sweep.  Cells
-    are independent and seeded by index, so results do not depend on
-    evaluation order.
+    Each (grid point, seed) cell is a synthetic spectrum over ``detunings``
+    (rad/s; the synth default grid when None), seeded by its indices.  Each
+    reduced model is fitted to all cells as one stack, and each cell's two
+    fits go through :func:`discriminate`.  A cell's fits equal those of its
+    spectrum alone, and a cell whose fit fails is counted in ``n_failed`` and
+    left out of the averages instead of aborting the sweep.
     """
     control_grid = np.asarray(control_grid, dtype=float)
-    if control_grid.ndim != 1 or control_grid.size == 0:
-        raise ValueError("control_grid must be a non-empty 1-D array")
-    if np.any(np.diff(control_grid) <= 0):
-        raise ValueError("control_grid must be strictly increasing")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    if control_grid.ndim != 1 or control_grid.size == 0 or np.any(np.diff(control_grid) <= 0):
+        raise ValueError("control_grid must be a non-empty, strictly increasing 1-D array")
+    if noise_sigma < 0 or n_seeds < 1:
+        raise ValueError("need noise_sigma >= 0 and n_seeds >= 1")
 
-    shape = control_grid.shape
-    w_mean = np.empty(shape)
-    w_min = np.empty(shape)
-    w_max = np.empty(shape)
-    failed = np.zeros(shape, dtype=int)
-    for i, control in enumerate(control_grid):
-        weights = []
-        for seed in range(n_seeds):
-            spectrum = synth_spectrum(
-                gamma_10, gamma_20, control, detunings,
-                noise_sigma=noise_sigma, seed_parts=(base_seed, i, seed),
-            )
-            try:
-                report = discriminate(spectrum)
-            except SingularJacobian:
-                failed[i] += 1
-                continue
-            weights.append(report.w_eit)
-        if not weights:
-            w_mean[i] = w_min[i] = w_max[i] = np.nan
+    spectra = [synth_spectrum(gamma_10, gamma_20, control, detunings, noise_sigma=noise_sigma,
+                              seed_parts=(base_seed, i, seed))
+               for i, control in enumerate(control_grid) for seed in range(n_seeds)]
+    stack = Dataset(x=spectra[0].detunings, y=[s.values for s in spectra])
+    shape = (control_grid.size, n_seeds)
+    w_eit, r_eit, r_ats = np.full((3,) + shape, np.nan)
+    converged, iterations = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=int)
+    for c, (s, eit, ats) in enumerate(zip(spectra, fit_eit_model(stack), fit_ats_model(stack))):
+        for fit in (eit, ats):
+            if isinstance(fit, Exception) and not isinstance(fit, SingularJacobian):
+                raise fit
+        if isinstance(eit, Exception) or isinstance(ats, Exception):
             continue
-        w_mean[i] = float(np.mean(weights))
-        w_min[i] = float(np.min(weights))
-        w_max[i] = float(np.max(weights))
-    return WeightSweepResult(
-        control_grid=control_grid,
-        w_eit_mean=w_mean,
-        w_ats_mean=1.0 - w_mean,
-        w_eit_min=w_min,
-        w_eit_max=w_max,
-        n_seeds=n_seeds,
-        n_failed=failed,
-    )
+        report, cell = discriminate(s, eit_fit=eit, ats_fit=ats), divmod(c, n_seeds)
+        w_eit[cell], r_eit[cell], r_ats[cell] = report.w_eit, report.r_eit, report.r_ats
+        converged[cell] = eit.converged and ats.converged
+        iterations[cell] = eit.iterations + ats.iterations
+
+    w_mean, w_min, w_max = np.full((3, control_grid.size), np.nan)
+    for i, row in enumerate(w_eit):
+        kept = row[~np.isnan(row)]
+        if kept.size:
+            w_mean[i], w_min[i], w_max[i] = np.mean(kept), np.min(kept), np.max(kept)
+    return WeightSweepResult(control_grid, w_mean, 1.0 - w_mean, w_min, w_max, n_seeds,
+                             np.sum(np.isnan(w_eit), axis=1), w_eit, r_eit, r_ats, converged,
+                             iterations)
 
 
 def crossing_threshold(control_grid, w_eit_mean) -> CrossingResult:
@@ -223,21 +191,12 @@ def crossing_threshold(control_grid, w_eit_mean) -> CrossingResult:
     curve = np.asarray(w_eit_mean, dtype=float)
     if grid.shape != curve.shape or grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid and curve must be matching 1-D arrays (length >= 2)")
-    crossings = []
-    for j in range(grid.size - 1):
-        a, b = curve[j] - 0.5, curve[j + 1] - 0.5
-        if np.isnan(a) or np.isnan(b):
-            continue
-        if a == 0.0:
-            crossings.append(grid[j])
-        elif a * b < 0.0:
-            frac = a / (a - b)
-            crossings.append(grid[j] + frac * (grid[j + 1] - grid[j]))
-    if curve[-1] == 0.5:
-        crossings.append(grid[-1])
+    a, b = curve[:-1] - 0.5, curve[1:] - 0.5
+    with np.errstate(invalid="ignore", divide="ignore"):
+        between = grid[:-1] + a / (a - b) * np.diff(grid)
+    hits = ((a == 0.0) & ~np.isnan(b)) | (a * b < 0.0)
+    crossings = list(np.where(a == 0.0, grid[:-1], between)[hits])
+    crossings += [grid[-1]] * bool(curve[-1] == 0.5)
     if not crossings:
         raise NoCrossing("weight curve never reaches 0.5")
-    return CrossingResult(
-        threshold=float(crossings[0]),
-        multiple_crossings=len(crossings) > 1,
-    )
+    return CrossingResult(threshold=float(crossings[0]), multiple_crossings=len(crossings) > 1)

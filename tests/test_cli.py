@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eitats import cli
 from eitats.cli import main
 from eitats.io_utils import read_spectrum_csv, write_spectrum_csv
+from eitats.model_selection import weight_sweep
 from eitats.synth import synth_spectrum
 
 M = 2.0 * math.pi * 1e6
@@ -53,7 +56,7 @@ class TestSimulate:
         assert spectrum.values.size == 61
         assert spectrum.values.max() == pytest.approx(1.0, rel=1e-9)
         doc = json.loads((out / "steady_state.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["coherence_rates_mhz"]["gamma_10"] == pytest.approx(1.76, rel=1e-9)
         assert sum(doc["populations"]) == pytest.approx(1.0, abs=1e-9)
 
@@ -186,6 +189,23 @@ class TestSweepCommand:
         assert np.allclose(values[:, 1] + values[:, 2], 1.0, atol=1e-12)
         doc = json.loads((out / "sweep.json").read_text())
         assert doc["omega_aic_mhz"] is None or 2.57 < doc["omega_aic_mhz"] < 8.0
+        assert doc["n_failed_fits"] == 0 and doc["n_nonconverged_fits"] == 0
+
+    def test_sweep_counts_nonconverged_cells(self, cfg_file, tmp_path, monkeypatch):
+        # one cell reported as not converged, one failed: each counted once
+        def sweep(*args, **kwargs):
+            result = weight_sweep(*args, **kwargs)
+            result.converged[0, 1] = False
+            result.converged[1, 0], result.w_eit[1, 0] = False, np.nan
+            return replace(result, n_failed=np.array([0, 1]))
+
+        monkeypatch.setattr(cli, "weight_sweep", sweep)
+        cfg = cfg_file(BASE_CFG + "drive.omega_c_grid = 3.0,5.0\n"
+                       "noise.sigma = 0.03\nnoise.seeds = 2\nnoise.seed = 2\n")
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--out", str(out)) == 0
+        doc = json.loads((out / "sweep.json").read_text())
+        assert (doc["n_failed_fits"], doc["n_nonconverged_fits"]) == (1, 1)
 
     def test_sweep_determinism(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG + "drive.omega_c_grid = 4.0,6.0\n"

@@ -167,7 +167,7 @@ KEY_SPECS = {
     "drive.delta": ("freq", None, None),
     "drive.delta_span": ("freq", ">", 0),
     "drive.delta_points": ("int", ">=", 2),
-    "drive.omega_c_grid": ("freq_list", "ascending", None),
+    "drive.omega_c_grid": ("freq_list", ">=", 0),
     "cavity.frequency": ("freq", ">", 0),
     "cavity.q_loaded": ("plain", ">", 0),
     "cavity.g1": ("freq", ">=", 0),
@@ -245,15 +245,16 @@ def _rejections():
     """(config text, key, exact message) for a value just past each bound and
     for each required key left out of its block."""
     for key, (kind, op, limit) in KEY_SPECS.items():
-        if op == "ascending":
-            value, message = "2,1", f"{key} must be strictly increasing"
-        elif op is not None:
+        if op is not None:
             bad = limit if op == ">" else limit - (1 if kind == "int" else 1e-9)
-            value = str(bad)
             message = f"{key} must be {op} {limit} (got {bad if kind == 'int' else float(bad)})"
-        else:
-            continue
-        yield pytest.param(FULL + f"{key} = {value}\n", key, message, id=key)
+            yield pytest.param(FULL + f"{key} = {bad}\n", key, message, id=key)
+    key = "drive.omega_c_grid"
+    yield pytest.param(FULL + f"{key} = 2,1\n", key, f"{key} must be strictly increasing",
+                       id=f"{key}-ascending")
+    # each element of the grid has the bound of drive.omega_c, checked first
+    yield pytest.param(FULL + f"{key} = -3,-1,2\n", key, f"{key} must be >= 0 (got -3.0)",
+                       id=f"{key}-negative")
     for key in REQUIRED:
         text = "".join(line + "\n" for line in FULL.splitlines()
                        if not line.startswith(f"{key} "))
@@ -318,7 +319,7 @@ class TestReports:
                                  "arr": np.array([1.0, 2.0])},
                           {"config_hash": "x", "seed": "1"})
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["provenance"]["config_hash"] == "x"
         assert doc["loss"] == "-inf"
         assert doc["arr"] == [1.0, 2.0]

@@ -4,6 +4,7 @@ import pytest
 from eitats.fitting import (
     MAX_ITERATIONS,
     Dataset,
+    FitBatch,
     SingularJacobian,
     damped_sinusoid_curve,
     fit_ats_model,
@@ -14,6 +15,7 @@ from eitats.fitting import (
     lorentzian_curve,
     nlls_minimize,
 )
+from eitats.fitting import _solve
 from eitats.spectra import AtsModelParams, EitModelParams, ExactModelParams, tprime_exact
 from eitats.synth import default_detuning_grid, synth_spectrum
 
@@ -41,6 +43,23 @@ class TestMinimizer:
         res = nlls_minimize(lambda xv, p: p[0] * xv, data, [0.5])
         assert res.converged
         assert res.parameters["p0"] == pytest.approx(3.7, rel=1e-10)
+
+    def test_stack_is_fitted_row_by_row(self):
+        x = np.linspace(1.0, 5.0, 20)
+        slopes = np.array([[3.7], [-1.2], [0.4]])
+        batch = nlls_minimize(lambda xv, p, rows: p[:, :1] * xv, Dataset(x=x, y=slopes * x),
+                              [[0.5], [0.5], [2.0]])
+        assert isinstance(batch, FitBatch) and batch.converged
+        for fit, slope, start in zip(batch, slopes[:, 0], (0.5, 0.5, 2.0)):
+            assert fit == nlls_minimize(lambda xv, p: p[0] * xv, Dataset(x=x, y=slope * x), [start])
+            assert fit.parameters["p0"] == pytest.approx(slope, rel=1e-10)
+        assert batch.iterations == max(fit.iterations for fit in batch)
+
+    def test_singular_normal_equations_fail_alone(self):
+        m = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        step, singular = _solve(m, np.ones((2, 2)))
+        assert singular.tolist() == [False, True]
+        assert step[0].tolist() == [0.5, 1.0] and np.isnan(step[1]).all()
 
     def test_max_iterations_returns_best_so_far(self):
         x = np.linspace(-3.0, 3.0, 30)

@@ -312,6 +312,23 @@ class TestAnalyticPopulations:
         assert p11 == pytest.approx(rho[1, 1].real, rel=1e-2)
         assert p22 == pytest.approx(rho[2, 2].real, rel=1e-2)
 
+    @settings(max_examples=100, deadline=None)
+    @given(relax=st.tuples(st.floats(0.2, 20.0), st.floats(0.2, 20.0), st.floats(0.0, 20.0)),
+           dephase=st.tuples(*[st.floats(0.0, 5.0)] * 3),
+           control=st.floats(0.5, 20.0), detuning=st.floats(-25.0, 25.0))
+    def test_weak_probe_matches_liouvillian_over_random_rates(self, relax, dephase, control,
+                                                              detuning):
+        # rates and drives in MHz; the probe is weak against every rate involved
+        rates = ThreeLevelRates(*(M * v for v in relax + dephase))
+        probe = 1e-3 * min(control * M, rates.coherence_10, rates.coherence_20)
+        drive = DriveConfig(control=control * M, probe=probe, detuning=detuning * M)
+        rho = steady_state(rates, drive)
+        rho20 = coherence_rho20_analytic(rates, drive)
+        p11, p22 = populations_analytic(rates, drive, rho20.imag)
+        assert abs(rho[2, 0] - rho20) < 1e-3 * abs(rho20)
+        assert p11 == pytest.approx(rho[1, 1].real, rel=1e-2)
+        assert p22 == pytest.approx(rho[2, 2].real, rel=1e-2)
+
     def test_degenerate_denominator(self):
         rates = ThreeLevelRates(relax_10=0.0, relax_20=1.0 * M, relax_21=1.0 * M)
         drive = DriveConfig(control=0.0, probe=0.001 * M)

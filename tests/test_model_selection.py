@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-
+from eitats import model_selection
+from eitats.fitting import Dataset, SingularJacobian, fit_ats_model, fit_eit_model
 from eitats.model_selection import (
     NoCrossing,
     NonPositiveResidual,
@@ -141,6 +143,55 @@ class TestWeightSweep:
             weight_sweep(G10, G20, np.array([2.0, 1.0]) * M)
         with pytest.raises(ValueError):
             weight_sweep(G10, G20, np.array([2.0]) * M, noise_sigma=-0.1)
+
+
+class TestBatchedSweep:
+    GRID = np.linspace(2.0, 8.0, 13) * M  # the README control grid
+
+    def sweep(self, monkeypatch):
+        """weight_sweep on the README grid x 3 seeds, and the (spectrum, EIT
+        fit, ATS fit) of each cell as the batch hands them to discriminate."""
+        seen, original = [], model_selection.discriminate
+
+        def tap(spectrum, eit_fit=None, ats_fit=None):
+            seen.append((spectrum, eit_fit, ats_fit))
+            return original(spectrum, eit_fit=eit_fit, ats_fit=ats_fit)
+
+        monkeypatch.setattr(model_selection, "discriminate", tap)
+        return weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3), seen
+
+    def test_each_cell_fits_as_if_alone(self, monkeypatch):
+        res, seen = self.sweep(monkeypatch)
+        assert len(seen) == res.w_eit.size == 39
+        for c, (spectrum, eit, ats) in enumerate(seen):
+            data = Dataset(x=spectrum.detunings, y=spectrum.values)
+            # parameters, residual_sum, iterations and converged, bit for bit
+            assert eit == fit_eit_model(data)
+            assert ats == fit_ats_model(data)
+            cell = divmod(c, 3)
+            assert (res.r_eit[cell], res.r_ats[cell]) == (eit.residual_sum, ats.residual_sum)
+            assert res.iterations[cell] == eit.iterations + ats.iterations
+        assert res.converged.all() and not res.n_failed.any()
+
+    def test_zero_variance_cell_fails_alone(self, monkeypatch):
+        reference, _ = self.sweep(monkeypatch)
+        original = model_selection.synth_spectrum
+
+        def synth(*args, seed_parts, **kwargs):
+            spectrum = original(*args, seed_parts=seed_parts, **kwargs)
+            flat = seed_parts[1:] == (4, 1)
+            return replace(spectrum, values=np.full(61, 0.5)) if flat else spectrum
+
+        monkeypatch.setattr(model_selection, "synth_spectrum", synth)
+        with pytest.raises(SingularJacobian):
+            fit_eit_model(Dataset(x=np.arange(61.0), y=np.full(61, 0.5)))
+        res, _ = self.sweep(monkeypatch)
+        assert res.n_failed.tolist() == [0, 0, 0, 0, 1] + [0] * 8
+        kept = ~np.isnan(res.w_eit)
+        assert kept.sum() == 38 and not res.converged[4, 1]
+        for name in ("w_eit", "r_eit", "r_ats", "converged", "iterations"):
+            assert np.array_equal(getattr(res, name)[kept], getattr(reference, name)[kept])
+        assert res.w_eit_mean[4] == np.mean(reference.w_eit[4, [0, 2]])
 
 
 class TestCrossingThreshold:
