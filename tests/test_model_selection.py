@@ -174,7 +174,7 @@ class TestBatchedSweep:
         assert res.converged.all() and not res.n_failed.any()
 
     def test_zero_variance_cell_fails_alone(self, monkeypatch):
-        reference, _ = self.sweep(monkeypatch)
+        reference = weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3)
         original = model_selection.synth_spectrum
 
         def synth(*args, seed_parts, **kwargs):
@@ -185,7 +185,7 @@ class TestBatchedSweep:
         monkeypatch.setattr(model_selection, "synth_spectrum", synth)
         with pytest.raises(SingularJacobian):
             fit_eit_model(Dataset(x=np.arange(61.0), y=np.full(61, 0.5)))
-        res, _ = self.sweep(monkeypatch)
+        res = weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3)
         assert res.n_failed.tolist() == [0, 0, 0, 0, 1] + [0] * 8
         kept = ~np.isnan(res.w_eit)
         assert kept.sum() == 38 and not res.converged[4, 1]
