@@ -8,7 +8,11 @@ Library layout:
   state, analytic weak-probe coherence and populations.
 * :mod:`eitats.spectra` - exact transmission lineshape, reduced
   difference/doublet models, pole parameters, transparency window.
-* :mod:`eitats.fitting` - separable least-squares fits of all model families.
+* :mod:`eitats.fitting` - :class:`Dataset`, the one sampled-curve type, and
+  separable least-squares fits of all model families.
+* :mod:`eitats.synth` - seeded synthetic spectra and the noise convention.
+* :mod:`eitats.io_utils` - CSV readers into a :class:`Dataset`, and atomic,
+  provenance-stamped writers.
 * :mod:`eitats.model_selection` - information-criterion weights, seeded
   sweeps, threshold extraction.
 * :mod:`eitats.readout` - dispersive shifts and composite cavity transmission.
@@ -17,8 +21,9 @@ Library layout:
 
 __version__ = "0.1.0"
 
+from .fitting import Dataset
 from .lindblad import DriveConfig, ThreeLevelRates, steady_state
-from .spectra import ExactModelParams, Spectrum, eit_window, tprime_exact
+from .spectra import ExactModelParams, eit_window, tprime_exact
 from .transmon import TransmonSpec, diagonalize
 
 __all__ = [
@@ -27,7 +32,7 @@ __all__ = [
     "ThreeLevelRates",
     "steady_state",
     "ExactModelParams",
-    "Spectrum",
+    "Dataset",
     "eit_window",
     "tprime_exact",
     "TransmonSpec",

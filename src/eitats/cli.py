@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .io_utils import (
     write_table_csv,
 )
 from .lindblad import (
-    DriveConfig,
+    DegenerateDenominator,
     NoUniqueSteadyState,
     PoleAtOrigin,
     TraceDriftError,
@@ -51,11 +52,12 @@ from .lindblad import (
     steady_state,
     steady_states,
 )
-from .model_selection import NoCrossing, crossing_threshold, discriminate, weight_sweep
-from .readout import (ZeroDetuning, cavity_lorentzian, composite_transmission,
-                      dispersive_shifts, normalized_transmission)
-from .spectra import ComplexRoots, ImaginarySplitting, Spectrum
-from .synth import cell_rng
+from .model_selection import (NoCrossing, NonPositiveResidual, crossing_threshold,
+                              discriminate, weight_sweep)
+from .readout import (DegenerateNormalization, ZeroDetuning, cavity_lorentzian,
+                      composite_transmission, dispersive_shifts, normalized_transmission)
+from .spectra import ComplexRoots, ImaginarySplitting
+from .synth import add_noise
 from .transmon import (CutoffConvergenceError, circulating_current_coupling, diagonalize,
                        effective_josephson, selection_rule_sweep)
 
@@ -70,7 +72,10 @@ NUMERICAL_ERRORS = (
     ComplexRoots,
     ImaginarySplitting,
     ZeroDetuning,
+    DegenerateNormalization,
+    DegenerateDenominator,
     NoCrossing,
+    NonPositiveResidual,
     np.linalg.LinAlgError,
 )
 
@@ -207,14 +212,10 @@ def cmd_simulate(args, config: ExperimentConfig) -> int:
     config.require("rates", "drive")
     control_rad = _control_rad(args, config)
     detunings = config.detuning_grid_rad()
-    values = _simulated_tprime(config, control_rad, detunings)
     seed = _seed(args, config)
-
-    if config.noise.sigma > 0:
-        rng = cell_rng(seed, 0, 0)
-        values = values + rng.normal(0.0, config.noise.sigma * np.max(values),
-                                     size=values.shape)
-    spectrum = Spectrum(detunings=detunings, values=values)
+    values = add_noise(_simulated_tprime(config, control_rad, detunings),
+                       config.noise.sigma, seed, 0, 0)
+    spectrum = Dataset(x=detunings, y=values)
 
     out = _outdir(args, config)
     prov = _provenance(config, "simulate", seed if config.noise.sigma > 0 else None)
@@ -266,11 +267,8 @@ def _fit_result_payload(result, x_unit_scale: float) -> dict:
 
 
 def cmd_fit(args, config: ExperimentConfig) -> int:
-    if args.model == "damped_sinusoid":
-        data = Dataset(*read_trace_csv(args.input))
-    else:
-        spectrum = read_spectrum_csv(args.input)
-        data = Dataset(x=spectrum.detunings, y=spectrum.values)
+    reader = read_trace_csv if args.model == "damped_sinusoid" else read_spectrum_csv
+    data = reader(args.input)
     out = _outdir(args, config)
     prov = _provenance(config, f"fit --model {args.model}", None)
 
@@ -301,23 +299,8 @@ def cmd_fit(args, config: ExperimentConfig) -> int:
 
 
 def cmd_discriminate(args, config: ExperimentConfig) -> int:
-    spectrum = read_spectrum_csv(args.input)
-    report = discriminate(spectrum)
-    out = _outdir(args, config)
-    payload = {
-        "i_eit": report.i_eit,
-        "i_ats": report.i_ats,
-        "ibar_eit": report.ibar_eit,
-        "ibar_ats": report.ibar_ats,
-        "w_eit": report.w_eit,
-        "w_ats": report.w_ats,
-        "n_points": report.n_points,
-        "k_eit": report.k_eit,
-        "k_ats": report.k_ats,
-        "r_eit": report.r_eit,
-        "r_ats": report.r_ats,
-    }
-    write_json_report(out / "aic_report.json", payload,
+    report = discriminate(read_spectrum_csv(args.input))
+    write_json_report(_outdir(args, config) / "aic_report.json", asdict(report),
                       _provenance(config, "discriminate", None))
     return 0
 
@@ -363,9 +346,7 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
 def cmd_rabi(args, config: ExperimentConfig) -> int:
     config.require("rates", "drive")
     rates = config.three_level_rates()
-    if config.drive.omega_p is None:
-        raise ValidationError("drive.omega_p is not set", "drive.omega_p")
-    probe = config.rad(config.drive.omega_p)
+    probe = config.drive_config(0.0, 0.0).probe
     if probe <= 0:
         raise ValidationError("drive.omega_p must be > 0 for rabi", "drive.omega_p")
 
@@ -374,12 +355,8 @@ def cmd_rabi(args, config: ExperimentConfig) -> int:
     else:
         duration = 8.0 * math.pi / probe  # eight oscillation periods
     times = np.linspace(0.0, duration, config.rabi.points)
-    trace = rabi_trace(rates, probe, times)
     seed = _seed(args, config)
-    if config.noise.sigma > 0:
-        rng = cell_rng(seed, 1, 0)
-        trace = trace + rng.normal(0.0, config.noise.sigma * np.max(trace),
-                                   size=trace.shape)
+    trace = add_noise(rabi_trace(rates, probe, times), config.noise.sigma, seed, 1, 0)
 
     out = _outdir(args, config)
     prov = _provenance(config, "rabi", seed if config.noise.sigma > 0 else None)

@@ -54,8 +54,10 @@ class SingularJacobian(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Fit data: finite values, one curve or a ``(cells, points)`` stack, on
-    one strictly increasing abscissa."""
+    """A sampled curve, or a ``(cells, points)`` stack of them, on one strictly
+    increasing abscissa, with finite values: detunings in rad/s for spectra,
+    times in ns for traces.  The CSV readers, the synthesizer and every fit
+    share this type."""
 
     x: np.ndarray
     y: np.ndarray

@@ -3,7 +3,9 @@
 Every output file embeds a provenance header (config hash, seed, tool
 version).  Floats are written with 17 significant digits so emitted files are
 byte-stable across reruns and values survive a read/write cycle losslessly.
-CSV spectra use the schema ``detuning_mhz,tprime`` with ``#`` comment lines.
+CSV spectra use the schema ``detuning_mhz,tprime`` and time traces
+``time_ns,p22``, each after ``#`` comment lines; both are read into a
+:class:`eitats.fitting.Dataset`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .spectra import Spectrum
+from .fitting import Dataset
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -52,20 +54,19 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_spectrum_csv(path, spectrum: Spectrum, provenance: dict) -> None:
+def write_spectrum_csv(path, spectrum: Dataset, provenance: dict) -> None:
     write_table_csv(path, ["detuning_mhz", "tprime"],
-                    [spectrum.detunings / TWO_PI_MHZ, spectrum.values], provenance)
+                    [spectrum.x / TWO_PI_MHZ, spectrum.y], provenance)
 
 
 def _read_two_columns(path, header: str):
-    """Rows of a two-column numeric CSV under ``header``, plus its metadata.
+    """Columns of a two-column numeric CSV under ``header``.
 
-    ``#`` lines before the header carry ``key=value`` metadata; blank lines
-    are skipped.  Malformed and non-finite values are rejected with their
-    line number.
+    ``#`` comment lines and blank lines are skipped.  Malformed, non-finite
+    and non-increasing values are rejected with their line number, and fewer
+    than two data rows with the row count.
     """
     xs, ys = [], []
-    metadata = {}
     header_seen = False
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -73,10 +74,6 @@ def _read_two_columns(path, header: str):
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
                 continue
             if not header_seen:
                 if line != header:
@@ -90,23 +87,26 @@ def _read_two_columns(path, header: str):
                 raise ValueError(f"{path}, line {line_no}: not two numbers: '{line}'") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{path}, line {line_no}: non-finite value: '{line}'")
+            if xs and x <= xs[-1]:
+                raise ValueError(f"{path}, line {line_no}: first column not increasing: '{line}'")
             xs.append(x)
             ys.append(y)
     if not header_seen:
         raise ValueError(f"{path}: missing CSV header '{header}'")
-    return np.array(xs), np.array(ys), metadata
+    if len(xs) < 2:
+        raise ValueError(f"{path}: need at least two data rows, got {len(xs)}")
+    return np.array(xs), np.array(ys)
 
 
-def read_spectrum_csv(path) -> Spectrum:
-    """Spectrum CSV (``detuning_mhz,tprime``) with detunings converted to rad/s."""
-    detunings_mhz, values, metadata = _read_two_columns(path, "detuning_mhz,tprime")
-    return Spectrum(detunings=detunings_mhz * TWO_PI_MHZ, values=values, metadata=metadata)
+def read_spectrum_csv(path) -> Dataset:
+    """A spectrum CSV (``detuning_mhz,tprime``), detunings converted to rad/s."""
+    detunings_mhz, values = _read_two_columns(path, "detuning_mhz,tprime")
+    return Dataset(x=detunings_mhz * TWO_PI_MHZ, y=values)
 
 
-def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Time-trace CSV (``time_ns,p22``, as ``rabi`` writes it): times in ns and values."""
-    times_ns, values, _ = _read_two_columns(path, "time_ns,p22")
-    return times_ns, values
+def read_trace_csv(path) -> Dataset:
+    """A time-trace CSV (``time_ns,p22``, as ``rabi`` writes it), times in ns."""
+    return Dataset(*_read_two_columns(path, "time_ns,p22"))
 
 
 def write_table_csv(path, header: list[str], columns: list[np.ndarray],

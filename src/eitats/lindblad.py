@@ -390,18 +390,17 @@ def rabi_trace(rates: ThreeLevelRates, probe: float, times) -> np.ndarray:
     return states[:, 8].real  # rho_22 in the row-major vec
 
 
-def validate_density_matrix(rho: np.ndarray, hermit_tol: float = 1e-12,
-                            trace_tol: float = 1e-9,
-                            positivity_tol: float = 1e-9) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD within tolerance."""
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is Hermitian (to 1e-12 relative), of unit
+    trace (to 1e-9) and positive semidefinite (to -1e-9)."""
     rho = np.asarray(rho)
     if rho.shape != (3, 3):
         raise ValueError("density matrix must be 3x3")
     scale = max(1.0, float(np.max(np.abs(rho))))
-    if np.max(np.abs(rho - rho.conj().T)) > hermit_tol * scale:
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * scale:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > 1e-9:
         raise ValueError("density matrix trace deviates from 1 beyond tolerance")
     eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if eigs.min() < -positivity_tol:
+    if eigs.min() < -1e-9:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import Dataset, FitResult, SingularJacobian, fit_ats_model, fit_eit_model
-from .spectra import Spectrum
 from .synth import synth_spectrum
 
 __all__ = ["AicReport", "WeightSweepResult", "CrossingResult", "NonPositiveResidual",
@@ -124,12 +123,10 @@ def akaike_weights(ibar_eit: float, ibar_ats: float) -> tuple[float, float]:
     return (small, big) if gap > 0 else (big, small)
 
 
-def discriminate(spectrum: Spectrum | Dataset, eit_fit: FitResult | None = None,
+def discriminate(data: Dataset, eit_fit: FitResult | None = None,
                  ats_fit: FitResult | None = None) -> AicReport:
     """Fit both reduced models to one spectrum, unless given their fits, and
     report losses and weights."""
-    data = (Dataset(x=spectrum.detunings, y=spectrum.values) if isinstance(spectrum, Spectrum)
-            else spectrum)
     eit_fit, ats_fit = eit_fit or fit_eit_model(data), ats_fit or fit_ats_model(data)
     n = len(data)
     i_eit, i_ats = aic(n, eit_fit.residual_sum, K_EIT), aic(n, ats_fit.residual_sum, K_ATS)
@@ -160,7 +157,7 @@ def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
     spectra = [synth_spectrum(gamma_10, gamma_20, control, detunings, noise_sigma=noise_sigma,
                               seed_parts=(base_seed, i, seed))
                for i, control in enumerate(control_grid) for seed in range(n_seeds)]
-    stack = Dataset(x=spectra[0].detunings, y=[s.values for s in spectra])
+    stack = Dataset(x=spectra[0].x, y=[s.y for s in spectra])
     shape = (control_grid.size, n_seeds)
     w_eit, r_eit, r_ats = np.full((3,) + shape, np.nan)
     converged, iterations = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=int)

@@ -86,13 +86,12 @@ class DispersiveShifts:
     dispersive_valid: bool
 
 
-def dispersive_shifts(cavity: CavitySpec, nu_10: float, nu_21: float,
-                      validity_threshold: float = DISPERSIVE_VALIDITY_THRESHOLD,
-                      ) -> DispersiveShifts:
+def dispersive_shifts(cavity: CavitySpec, nu_10: float, nu_21: float) -> DispersiveShifts:
     """State-dependent cavity pulls for given bare transition frequencies (Hz).
 
     The validity flag trips (without raising) when either |g/Delta| reaches
-    the threshold, signalling that the second-order expansion is strained.
+    ``DISPERSIVE_VALIDITY_THRESHOLD``, signalling that the second-order
+    expansion is strained.
     """
     delta_10 = cavity.frequency - nu_10
     delta_21 = cavity.frequency - nu_21
@@ -100,7 +99,8 @@ def dispersive_shifts(cavity: CavitySpec, nu_10: float, nu_21: float,
         raise ZeroDetuning("atom-cavity detuning is zero")
     chi_1 = -cavity.g1 / delta_10
     chi_2 = -cavity.g2 / delta_21
-    valid = abs(chi_1) < validity_threshold and abs(chi_2) < validity_threshold
+    valid = (abs(chi_1) < DISPERSIVE_VALIDITY_THRESHOLD
+             and abs(chi_2) < DISPERSIVE_VALIDITY_THRESHOLD)
     return DispersiveShifts(
         chi_1=chi_1,
         chi_2=chi_2,

@@ -22,7 +22,7 @@ reduced models carry their own overall amplitudes, absorbing A * Omega_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "ExactModelParams",
     "EitModelParams",
     "AtsModelParams",
-    "Spectrum",
     "EitWindow",
     "ComplexRoots",
     "ImaginarySplitting",
@@ -111,25 +110,6 @@ class EitWindow:
     lower: float
     upper: float
     feasible: bool
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Sampled T'(delta) data; detunings in rad/s, strictly increasing."""
-
-    detunings: np.ndarray
-    values: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        det = np.asarray(self.detunings, dtype=float)
-        val = np.asarray(self.values, dtype=float)
-        if det.shape != val.shape or det.ndim != 1:
-            raise ValueError("detunings and values must be 1-D arrays of equal length")
-        if det.size >= 2 and np.any(np.diff(det) <= 0):
-            raise ValueError("detunings must be strictly increasing")
-        object.__setattr__(self, "detunings", det)
-        object.__setattr__(self, "values", val)
 
 
 def tprime_exact(delta, p: ExactModelParams):

@@ -53,8 +53,8 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run("simulate", "--config", cfg, "--out", str(out)) == 0
         spectrum = read_spectrum_csv(out / "spectrum.csv")
-        assert spectrum.values.size == 61
-        assert spectrum.values.max() == pytest.approx(1.0, rel=1e-9)
+        assert spectrum.y.size == 61
+        assert spectrum.y.max() == pytest.approx(1.0, rel=1e-9)
         doc = json.loads((out / "steady_state.json").read_text())
         assert doc["schema_version"] == 2
         assert doc["coherence_rates_mhz"]["gamma_10"] == pytest.approx(1.76, rel=1e-9)
@@ -88,7 +88,7 @@ class TestSimulate:
         run("simulate", "--config", cfg, "--out", str(out_b), "--omega-c", "19.7")
         a = read_spectrum_csv(out_a / "spectrum.csv")
         b = read_spectrum_csv(out_b / "spectrum.csv")
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.y, b.y)
 
     def test_no_dissipation_exit_two(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG.replace("rates.gamma10 = 3.52", "rates.gamma10 = 0")
@@ -227,6 +227,11 @@ drive.omega_p = 8.802816901408451
 rabi.points = 161
 """
 
+    def test_missing_probe_is_named(self, cfg_file, tmp_path, capsys):
+        cfg = cfg_file(BASE_CFG.replace("drive.omega_p = 0.02\n", ""))
+        assert run("rabi", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == "eitats: error: drive.omega_p is not set\n"
+
     def test_trace_and_fit(self, cfg_file, tmp_path):
         cfg = cfg_file(self.CFG)
         out = tmp_path / "out"
@@ -270,3 +275,50 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "nope.cfg")) == 1
+
+    def test_every_numerical_exception_exits_2(self):
+        # every exception class the package defines, except the two config
+        # errors that exit 1 and the warnings it only issues, is a numerical
+        # failure
+        import importlib
+        import inspect
+        import pkgutil
+
+        import eitats
+
+        defined = {
+            obj
+            for info in pkgutil.iter_modules(eitats.__path__)
+            for _, obj in inspect.getmembers(importlib.import_module(f"eitats.{info.name}"),
+                                             inspect.isclass)
+            if issubclass(obj, Exception) and not issubclass(obj, Warning)
+            and obj.__module__ == f"eitats.{info.name}"
+        }
+        defined -= {cli.ParseError, cli.ValidationError}
+        assert len(defined) >= 12
+        assert defined <= set(cli.NUMERICAL_ERRORS)
+
+    def test_degenerate_readout_is_numerical_failure(self, cfg_file, tmp_path, capsys):
+        # cavity.g1 = 0 passes its >= 0 bound, but leaves T2 = T0
+        cfg = cfg_file(BASE_CFG + TRANSMON_CFG.replace("units = MHz\n", "")
+                       + "cavity.frequency = 8216.90\ncavity.q_loaded = 1000\ncavity.g1 = 0\n")
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            "eitats: numerical failure: DegenerateNormalization:")
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+@pytest.mark.parametrize("header, command", [
+    ("detuning_mhz,tprime", ["discriminate"]),
+    ("detuning_mhz,tprime", ["fit", "--model", "eit"]),
+    ("detuning_mhz,tprime", ["fit", "--model", "lorentzian"]),
+    ("time_ns,p22", ["fit", "--model", "damped_sinusoid"]),
+], ids=["discriminate", "fit-eit", "fit-lorentzian", "fit-damped_sinusoid"])
+def test_csv_with_fewer_than_two_rows_is_rejected(cfg_file, tmp_path, capsys, rows,
+                                                  header, command):
+    csv = tmp_path / "short.csv"
+    csv.write_text("# seed=1\n" + header + "\n" + "0.5,0.25\n" * rows)
+    assert run(*command, "--config", cfg_file(BASE_CFG), "--input", str(csv),
+               "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        f"eitats: error: {csv}: need at least two data rows, got {rows}\n")

@@ -29,7 +29,6 @@ from eitats.io_utils import (
     write_spectrum_csv,
     write_table_csv,
 )
-from eitats.spectra import Spectrum
 
 MINIMAL = """\
 # transparency-regime fixture
@@ -273,17 +272,22 @@ class TestSpectrumCsv:
     def test_write_read_roundtrip(self, tmp_path):
         det = np.linspace(-25.0, 25.0, 61) * 2e6 * math.pi
         values = np.exp(-np.linspace(-2, 2, 61) ** 2)
-        spectrum = Spectrum(detunings=det, values=values)
         path = tmp_path / "s.csv"
-        write_spectrum_csv(path, spectrum, {"seed": "7", "config_hash": "abc"})
+        write_spectrum_csv(path, Dataset(x=det, y=values), {"seed": "7", "config_hash": "abc"})
         back = read_spectrum_csv(path)
-        assert np.array_equal(back.values, values)
-        assert np.allclose(back.detunings, det, rtol=1e-15)
-        assert back.metadata["seed"] == "7"
+        assert np.array_equal(back.y, values)
+        assert np.allclose(back.x, det, rtol=1e-15)
         # a rewrite of the ingested spectrum is byte-identical
         path2 = tmp_path / "s2.csv"
         write_spectrum_csv(path2, back, {"seed": "7", "config_hash": "abc"})
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("second", ["1", "0.5"])
+    def test_rejects_non_increasing_first_column(self, tmp_path, second):
+        path = tmp_path / "s.csv"
+        path.write_text(f"detuning_mhz,tprime\n1,0.5\n{second},0.4\n")
+        with pytest.raises(ValueError, match=f"{path}, line 3: first column not increasing"):
+            read_spectrum_csv(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"

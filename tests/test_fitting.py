@@ -31,9 +31,8 @@ def exact_curve(control, delta=None, amplitude=1.0):
 
 
 def noisy_spectrum(control, seed, sigma=0.03):
-    s = synth_spectrum(G10, G20, control, np.linspace(-25.0, 25.0, 61),
-                       noise_sigma=sigma, seed_parts=(seed,))
-    return Dataset(x=s.detunings, y=s.values)
+    return synth_spectrum(G10, G20, control, np.linspace(-25.0, 25.0, 61),
+                          noise_sigma=sigma, seed_parts=(seed,))
 
 
 class TestMinimizer:
@@ -317,9 +316,8 @@ class TestFitInvariants:
         detunings = default_detuning_grid(61)
         for i, control in enumerate(np.arange(2.0, 8.01, 0.5) * mhz):
             for seed in range(2):
-                s = synth_spectrum(1.76 * mhz, 6.90 * mhz, control, detunings,
-                                   noise_sigma=0.03, seed_parts=(0, i, seed))
-                data = Dataset(x=s.detunings, y=s.values)
+                data = synth_spectrum(1.76 * mhz, 6.90 * mhz, control, detunings,
+                                      noise_sigma=0.03, seed_parts=(0, i, seed))
                 eit, ats = fit_eit_model(data), fit_ats_model(data)
                 for fit in (eit, ats):
                     assert fit.converged

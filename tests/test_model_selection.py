@@ -163,8 +163,7 @@ class TestBatchedSweep:
     def test_each_cell_fits_as_if_alone(self, monkeypatch):
         res, seen = self.sweep(monkeypatch)
         assert len(seen) == res.w_eit.size == 39
-        for c, (spectrum, eit, ats) in enumerate(seen):
-            data = Dataset(x=spectrum.detunings, y=spectrum.values)
+        for c, (data, eit, ats) in enumerate(seen):
             # parameters, residual_sum, iterations and converged, bit for bit
             assert eit == fit_eit_model(data)
             assert ats == fit_ats_model(data)
@@ -180,7 +179,7 @@ class TestBatchedSweep:
         def synth(*args, seed_parts, **kwargs):
             spectrum = original(*args, seed_parts=seed_parts, **kwargs)
             flat = seed_parts[1:] == (4, 1)
-            return replace(spectrum, values=np.full(61, 0.5)) if flat else spectrum
+            return replace(spectrum, y=np.full(61, 0.5)) if flat else spectrum
 
         monkeypatch.setattr(model_selection, "synth_spectrum", synth)
         with pytest.raises(SingularJacobian):

@@ -9,7 +9,6 @@ from eitats.spectra import (
     EitModelParams,
     ExactModelParams,
     ImaginarySplitting,
-    Spectrum,
     ats_model,
     delta0,
     eit_decomposition,
@@ -217,16 +216,3 @@ class TestEitWindow:
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
             eit_window(0.0, 1.0)
-
-
-class TestSpectrum:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Spectrum(detunings=np.array([0.0, 1.0]), values=np.array([1.0]))
-        with pytest.raises(ValueError):
-            Spectrum(detunings=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
-
-    def test_metadata_roundtrip(self):
-        s = Spectrum(detunings=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]),
-                     metadata={"source": "test"})
-        assert s.metadata["source"] == "test"

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from eitats.spectra import ExactModelParams, tprime_exact
-from eitats.synth import cell_rng, default_detuning_grid, synth_spectrum
+from eitats.synth import add_noise, cell_rng, default_detuning_grid, synth_spectrum
 
 M = 2.0 * np.pi * 1e6
 G10, G20 = 1.76 * M, 6.90 * M
@@ -11,36 +13,31 @@ G10, G20 = 1.76 * M, 6.90 * M
 class TestSynthSpectrum:
     def test_noiseless_is_exact_curve(self):
         s = synth_spectrum(G10, G20, 2.88 * M)
-        p = ExactModelParams(amplitude=s.metadata["amplitude"], probe=1.0,
-                             control=2.88 * M, gamma_10=G10, gamma_20=G20)
-        assert np.array_equal(s.values, tprime_exact(s.detunings, p))
-        assert s.values.max() == pytest.approx(1.0, rel=1e-12)
+        p = ExactModelParams(amplitude=1.0, probe=1.0, control=2.88 * M,
+                             gamma_10=G10, gamma_20=G20)
+        p = replace(p, amplitude=1.0 / np.max(tprime_exact(s.x, p)))
+        assert np.array_equal(s.y, tprime_exact(s.x, p))
+        assert s.y.max() == pytest.approx(1.0, rel=1e-12)
 
     def test_same_seed_reproduces(self):
         a = synth_spectrum(G10, G20, 5.29 * M, noise_sigma=0.03, seed_parts=(3, 1, 4))
         b = synth_spectrum(G10, G20, 5.29 * M, noise_sigma=0.03, seed_parts=(3, 1, 4))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.y, b.y)
         c = synth_spectrum(G10, G20, 5.29 * M, noise_sigma=0.03, seed_parts=(3, 1, 5))
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a.y, c.y)
 
     def test_noise_amplitude_calibration(self):
         # sample standard deviation of (noisy - exact) across 100 seeds lands
         # within 20% of sigma * peak
-        exact = synth_spectrum(G10, G20, 2.06 * M).values
+        exact = synth_spectrum(G10, G20, 2.06 * M).y
         peak = exact.max()
         draws = []
         for seed in range(100):
             s = synth_spectrum(G10, G20, 2.06 * M, noise_sigma=0.03,
                                seed_parts=(seed,))
-            draws.append(s.values - exact)
+            draws.append(s.y - exact)
         sample_std = float(np.std(np.concatenate(draws)))
         assert sample_std == pytest.approx(0.03 * peak, rel=0.2)
-
-    def test_metadata_records_generator(self):
-        s = synth_spectrum(G10, G20, 2.06 * M, noise_sigma=0.01, seed_parts=(7, 2))
-        assert s.metadata["seed_parts"] == (7, 2)
-        assert s.metadata["noise_sigma"] == 0.01
-        assert s.metadata["control"] == 2.06 * M
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -59,3 +56,14 @@ class TestCellRng:
         assert np.array_equal(a, b)
         c = cell_rng(1, 2, 4).normal(size=4)
         assert not np.array_equal(a, c)
+
+
+class TestAddNoise:
+    def test_zero_sigma_is_identity(self):
+        values = np.linspace(0.0, 1.0, 5)
+        assert add_noise(values, 0.0, 1, 2) is values
+
+    def test_peak_referenced_and_seeded(self):
+        values = np.linspace(0.0, 2.0, 5)
+        expected = values + cell_rng(7, 1, 0).normal(0.0, 0.03 * 2.0, size=5)
+        assert np.array_equal(add_noise(values, 0.03, 7, 1, 0), expected)
