@@ -1,10 +1,14 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import eitats
 from eitats import cli
 from eitats.cli import main
 from eitats.io_utils import read_spectrum_csv, write_spectrum_csv
@@ -280,12 +284,6 @@ class TestUsageErrors:
         # every exception class the package defines, except the two config
         # errors that exit 1 and the warnings it only issues, is a numerical
         # failure
-        import importlib
-        import inspect
-        import pkgutil
-
-        import eitats
-
         defined = {
             obj
             for info in pkgutil.iter_modules(eitats.__path__)
