@@ -5,10 +5,10 @@ two nonlinear parameters (control strength, widths, center, splitting, decay
 time, period) are fixed.  Each fit is therefore a variable projection (Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the linear coefficients come
 from a closed-form least-squares solve, non-negative where the model needs
-it; the best point of a fixed coarse grid over the nonlinear parameters is
-the start; and :func:`nlls_minimize` (Levenberg-Marquardt damped Gauss-Newton
-with a central-difference Jacobian) polishes only the nonlinear parameters,
-positive ones in log coordinates.
+it; the best of a fixed coarse grid over the nonlinear parameters (plus, for
+a trace, the poles of a matrix pencil) is the start; and :func:`nlls_minimize`
+(Levenberg-Marquardt damped Gauss-Newton with a central-difference Jacobian)
+polishes only the nonlinear parameters, positive ones in log coordinates.
 
 A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
 one pass: grid starts are scored in blocks of rows, and one minimizer loop
@@ -417,14 +417,21 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     """Fit offset + amplitude * exp(-t/decay_time) * cos(2 pi t/period + phase).
 
     Decay time and period are searched in log coordinates, held inside
-    physically resolvable ranges (past a limit the model stops changing),
-    from a grid of periods half a cycle per trace apart up to the sampling
-    limit.  The amplitude is reported non-negative with the phase in
-    (-pi, pi].  A decay time or period that ends on one of those limits is
-    no measurement of it, and flags the fit ``at_limit``.  One trace at a time.
+    physically resolvable ranges (past a limit the model stops changing).
+    On uniformly spaced times the model is a sum of three exponentials, so the
+    poles of a matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38, 814 (1990))
+    of one small Hankel SVD are the starts, next to nine coarse ones.  The
+    amplitude is reported non-negative, the phase in (-pi, pi].  A decay time
+    or period on a limit, to within the polish's step, is no measurement of
+    it and flags the fit ``at_limit``.  One trace at a time.
     """
-    t, span = data.x, data.x[-1] - data.x[0]
-    min_dt = float(np.min(np.diff(t)))
+    if data.y.ndim != 1:
+        raise ValueError("damped-sinusoid fit takes one trace at a time, not a stack")
+    _check_size(data, 5)
+    t, span, steps = data.x, data.x[-1] - data.x[0], np.diff(data.x)
+    min_dt = float(np.min(steps))
+    if np.max(steps) - min_dt > 1e-9 * min_dt:
+        raise ValueError("damped-sinusoid fit needs uniformly spaced times")
     lo = np.log([0.05 * min_dt, 1.9 * min_dt])
     hi = np.log([1e8 * span, 20.0 * span])
 
@@ -437,12 +444,20 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
         return {"offset": offset, "amplitude": np.hypot(a_cos, a_sin), "decay_time": decay,
                 "period": period, "phase": np.arctan2(a_sin, a_cos)}, curve
 
-    cycles = np.arange(0.5, 0.5 * span / min_dt + 0.25, 0.5)
-    starts = [[np.log(decay), np.log(span / n)] for n in cycles
-              for decay in span * np.array([0.05, 0.3, 1.0])]
-    fit = _separable_fit(data, project, starts, signal="amplitude", flat_ok=True)
-    # project() returns exactly exp(lo) or exp(hi) for a clipped polish
-    decay_period = np.array([fit.parameters["decay_time"], fit.parameters["period"]])
-    if np.any(decay_period <= np.exp(lo)) or np.any(decay_period >= np.exp(hi)):
+    # a pencil of 12 keeps the SVD small enough to stay single-threaded in BLAS
+    pencil = int(np.clip(12, 3, len(t) - 3))
+    hankel = np.lib.stride_tricks.sliding_window_view(data.y, pencil + 1)
+    v = np.linalg.svd(hankel, full_matrices=False)[2][:3].T
+    z = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+    z = z[z.imag >= 0.0]
+    with np.errstate(divide="ignore"):  # |z| >= 1 or a real pole: the upper limit
+        decay = np.where(np.abs(z) < 1.0, -min_dt / np.log(np.abs(z)), np.inf)
+        starts = np.log(np.c_[decay, 2.0 * np.pi * min_dt / np.abs(np.angle(z))])
+    coarse = [[np.log(span * d), np.log(span / n)] for d in (0.05, 0.3, 1.0) for n in (0.5, 2, 8)]
+    fit = _separable_fit(data, project, np.r_[np.clip(starts, lo, hi), coarse],
+                         signal="amplitude", flat_ok=True)
+    u = np.log([fit.parameters["decay_time"], fit.parameters["period"]])
+    tol = FD_REL_STEP * np.maximum(np.abs([lo, hi]), 1.0)
+    if np.any(u <= lo + tol[0]) or np.any(u >= hi - tol[1]):
         fit = replace(fit, warnings=fit.warnings + ("at_limit",))
     return fit

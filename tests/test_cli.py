@@ -163,6 +163,16 @@ class TestFitCommand:
         csv = self.write_synth(tmp_path, 2.06)
         assert run("fit", "--config", cfg, "--input", csv, "--model", "bogus") == 1
 
+    def test_non_uniform_trace_exit_one(self, cfg_file, tmp_path, capsys):
+        times = np.geomspace(1.0, 400.0, 81).tolist()
+        csv = tmp_path / "trace.csv"
+        csv.write_text("time_ns,p22\n" + "".join(
+            f"{t!r},{0.5 - 0.5 * math.cos(2 * math.pi * t / 56.8)!r}\n" for t in times))
+        assert run("fit", "--config", cfg_file(BASE_CFG), "--model", "damped_sinusoid",
+                   "--input", str(csv), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "eitats: error: damped-sinusoid fit needs uniformly spaced times\n")
+
 
 class TestDiscriminateCommand:
     def test_report_fields(self, cfg_file, tmp_path):

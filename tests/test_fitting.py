@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitats.fitting import (
     MAX_ITERATIONS,
@@ -264,6 +266,39 @@ class TestDampedSinusoidFit:
         for key in ("period", "decay_time"):
             assert fits[0].parameters[key] == pytest.approx(
                 fits[1].parameters[key], rel=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(offset=st.floats(-1.0, 1.0), amplitude=st.floats(0.1, 1.0),
+           phase=st.floats(-np.pi, np.pi), decay=st.floats(5.0, 8000.0),
+           period=st.floats(10.0, 200.0))
+    def test_noiseless_trace_is_recovered_exactly(self, offset, amplitude, phase, decay, period):
+        # 2.5 ns spacing: decay in [2 dt, 20 span], period in [4 dt, span / 2]
+        t = np.linspace(0.0, 400.0, 161)
+        y = damped_sinusoid_curve(t, offset, amplitude, decay, period, phase)
+        res = fit_damped_sinusoid(Dataset(x=t, y=y))
+        assert res.parameters["period"] == pytest.approx(period, rel=1e-6)
+        assert res.parameters["decay_time"] == pytest.approx(decay, rel=1e-5)
+        assert "at_limit" not in res.warnings
+
+    def test_size_is_checked_before_the_start(self):
+        t = np.linspace(0.0, 50.0, 6)
+        y = damped_sinusoid_curve(t, 0.2, 0.4, 150.0, 60.0, 0.3)
+        with pytest.raises(ValueError, match="need at least 6 points to fit 5 parameters"):
+            fit_damped_sinusoid(Dataset(x=t[:5], y=y[:5]))
+        res = fit_damped_sinusoid(Dataset(x=t, y=y))
+        assert res.parameters["period"] == pytest.approx(60.0, rel=1e-6)
+
+    def test_stack_is_rejected(self):
+        t = np.linspace(0.0, 400.0, 161)
+        y = damped_sinusoid_curve(t, 0.5, -0.5, 130.6, 56.8, 0.0)
+        with pytest.raises(ValueError, match="one trace at a time"):
+            fit_damped_sinusoid(Dataset(x=t, y=np.stack([y, y])))
+
+    def test_non_uniform_times_are_rejected(self):
+        t = np.geomspace(1.0, 400.0, 161)
+        y = damped_sinusoid_curve(t, 0.5, -0.5, 130.6, 56.8, 0.0)
+        with pytest.raises(ValueError, match="needs uniformly spaced times"):
+            fit_damped_sinusoid(Dataset(x=t, y=y))
 
 
 class TestFitInvariants:
