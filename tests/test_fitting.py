@@ -294,12 +294,6 @@ class TestDampedSinusoidFit:
         with pytest.raises(ValueError, match="one trace at a time"):
             fit_damped_sinusoid(Dataset(x=t, y=np.stack([y, y])))
 
-    def test_non_uniform_times_are_rejected(self):
-        t = np.geomspace(1.0, 400.0, 161)
-        y = damped_sinusoid_curve(t, 0.5, -0.5, 130.6, 56.8, 0.0)
-        with pytest.raises(ValueError, match="needs uniformly spaced times"):
-            fit_damped_sinusoid(Dataset(x=t, y=y))
-
 
 class TestFitInvariants:
     def test_roundtrip_all_families(self):
