@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "ThreeLevelRates", "DriveConfig", "Trajectory", "NoUniqueSteadyState",
@@ -383,6 +382,7 @@ def rabi_trace(rates: ThreeLevelRates, probe: float, times) -> np.ndarray:
         raise ValueError("times must be a 1-D array with at least two points")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and non-negative")
+    from scipy.linalg import expm  # here, so that only this function loads scipy
     liou = liouvillian_matrix(rates, DriveConfig(control=0.0, probe=probe, detuning=0.0))
     vec = np.eye(9, dtype=complex)[0]  # vec of |0><0|
     states = _propagate(vec, times, np.diff(times, prepend=0.0),

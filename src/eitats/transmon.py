@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "TransmonSpec",
@@ -113,15 +112,12 @@ def effective_josephson(spec: TransmonSpec) -> float:
     return 2.0 * spec.junction_energy * np.cos(np.pi * spec.flux_ratio)
 
 
-def _solve_charge_basis(spec: TransmonSpec, cutoff: int):
-    e_j = abs(effective_josephson(spec))
+def _charge_hamiltonian(spec: TransmonSpec, cutoff: int):
+    """Charges m = -N..N and the dense tridiagonal Hamiltonian over them."""
     m = np.arange(-cutoff, cutoff + 1, dtype=float)
-    diag = 4.0 * spec.charging_energy * (m - spec.offset_charge) ** 2
-    offdiag = np.full(2 * cutoff, -0.5 * e_j)
-    vals, vecs = eigh_tridiagonal(
-        diag, offdiag, select="i", select_range=(0, spec.num_levels - 1)
-    )
-    return m, vals, vecs
+    hop = np.full(2 * cutoff, -0.5 * abs(effective_josephson(spec)))
+    ham = np.diag(4.0 * spec.charging_energy * (m - spec.offset_charge) ** 2)
+    return m, ham + np.diag(hop, 1) + np.diag(hop, -1)
 
 
 def diagonalize(spec: TransmonSpec, check_convergence: bool = True) -> TransmonSolution:
@@ -132,12 +128,18 @@ def diagonalize(spec: TransmonSpec, check_convergence: bool = True) -> TransmonS
     :class:`CutoffConvergenceError` rather than being silently accepted.
     Disable the check as a fast path inside converged sweeps.
     """
-    m, vals, vecs = _solve_charge_basis(spec, spec.charge_cutoff)
+    # Shifted by E_J the Hamiltonian is positive semidefinite (Gershgorin), so its SVD
+    # is its eigendecomposition.  eigh from 26 states wakes numpy's OpenBLAS threads,
+    # which spin after it returns and slowed later numpy work twofold; SVD at 31 does not.
+    nlev, e_j = spec.num_levels, abs(effective_josephson(spec))
+    m, ham = _charge_hamiltonian(spec, spec.charge_cutoff)
+    vecs, vals, _ = np.linalg.svd(ham + e_j * np.eye(m.size))
+    vals, vecs = vals[::-1][:nlev] - e_j, vecs[:, ::-1][:, :nlev]
     freqs = vals - vals[0]
 
     if check_convergence:
-        _, vals_hi, _ = _solve_charge_basis(spec, spec.charge_cutoff + 5)
-        freqs_hi = vals_hi - vals_hi[0]
+        vals_hi = np.linalg.eigvalsh(_charge_hamiltonian(spec, spec.charge_cutoff + 5)[1])
+        freqs_hi = vals_hi[:nlev] - vals_hi[0]
         scale = max(np.max(np.abs(freqs_hi)), 4.0 * spec.charging_energy)
         worst = np.max(np.abs(freqs - freqs_hi)) / scale
         if worst > CUTOFF_CONVERGENCE_RTOL:
@@ -148,9 +150,7 @@ def diagonalize(spec: TransmonSpec, check_convergence: bool = True) -> TransmonS
             )
 
     # n is diagonal in charge; cos(phi) is the symmetric nearest-neighbor shift.
-    nlev = spec.num_levels
-    n_weighted = vecs * m[:, None]
-    n_el = np.abs(vecs.T @ n_weighted)
+    n_el = np.abs(vecs.T @ (vecs * m[:, None]))
     shifted = 0.5 * (np.vstack([vecs[1:], np.zeros(nlev)])
                      + np.vstack([np.zeros(nlev), vecs[:-1]]))
     cos_el = np.abs(vecs.T @ shifted)

@@ -2,8 +2,12 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,3 +334,34 @@ def test_csv_with_fewer_than_two_rows_is_rejected(cfg_file, tmp_path, capsys, ro
                "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == (
         f"eitats: error: {csv}: need at least two data rows, got {rows}\n")
+
+
+SCIPY_PROBE = """\
+import sys
+from eitats.cli import main
+
+cfg, out = sys.argv[1:]
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+for argv in (["transmon"], ["simulate"],
+             ["fit", "--model", "exact", "--input", out + "/spectrum.csv"],
+             ["discriminate", "--input", out + "/spectrum.csv"]):
+    assert main([*argv, "--config", cfg, "--out", out]) == 0, argv
+print(loaded())
+assert main(["rabi", "--config", cfg, "--out", out]) == 0
+print(loaded())
+"""
+
+
+def test_only_rabi_imports_scipy(cfg_file, tmp_path):
+    # a fresh interpreter, so modules imported by this test session do not count
+    cfg = cfg_file(BASE_CFG + TRANSMON_CFG.replace("units = MHz\n", "")
+                   + "cavity.frequency = 8216.90\ncavity.q_loaded = 1000\n"
+                   + "cavity.g1 = 173\nrabi.points = 41\n")
+    src = str(Path(eitats.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, cfg, str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, check=True)
+    before_rabi, after_rabi = proc.stdout.splitlines()
+    assert before_rabi == "[]"
+    assert "'scipy.linalg'" in after_rabi

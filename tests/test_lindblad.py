@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, null_space
@@ -375,7 +376,8 @@ class TestRabiTrace:
         assert np.max(np.abs(trace - reference)) < 1e-12 * np.max(reference)
 
     def test_trace_drift_aborts(self, paper_rates, monkeypatch):
-        monkeypatch.setattr(lindblad, "expm", lambda m: 1.001 * expm(m))
+        # rabi_trace imports expm when called, so the patched attribute is used
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: 1.001 * expm(m))
         with pytest.raises(TraceDriftError):
             rabi_trace(paper_rates, 1.0 * M, np.linspace(0.0, 1e-7, 11))
 

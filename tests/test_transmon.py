@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eitats.transmon import (
+    CUTOFF_CONVERGENCE_RTOL,
     CutoffConvergenceError,
     TransmonSpec,
     circulating_current_coupling,
@@ -111,6 +112,28 @@ class TestDiagonalize:
             rel = np.abs(lo.eigen_frequencies[1:] - hi.eigen_frequencies[1:])
             rel = rel / np.abs(hi.eigen_frequencies[1:])
             assert np.max(rel) < 1e-9
+
+    @pytest.mark.parametrize("n_g", [0.0, 0.25, 0.5])
+    def test_matches_tridiagonal_reference(self, n_g):
+        # the dense SVD solve against scipy's tridiagonal solver, which it replaced
+        from scipy.linalg import eigh_tridiagonal
+
+        for ratio in (10.0, 20.0, 30.0, 40.0, 50.0):
+            spec = spec_at(ratio, n_g=n_g)
+            sol = diagonalize(spec)
+            m = np.arange(-15, 16, dtype=float)
+            vals, vecs = eigh_tridiagonal(
+                4.0 * E_C * (m - n_g) ** 2, np.full(30, -0.5 * ratio * E_C),
+                select="i", select_range=(0, 2))
+            n_ref = np.abs(vecs.T @ (m[:, None] * vecs))
+            cos_ref = np.abs(0.5 * (vecs[:-1].T @ vecs[1:] + vecs[1:].T @ vecs[:-1]))
+            np.testing.assert_allclose(sol.eigen_frequencies, vals - vals[0],
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(sol.n_elements, n_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sol.cosphi_elements, cos_ref, rtol=0, atol=1e-12)
+
+    def test_cutoff_tolerance(self):
+        assert CUTOFF_CONVERGENCE_RTOL == 1e-9
 
     def test_cutoff_sensitivity_reported(self):
         with pytest.raises(CutoffConvergenceError):
