@@ -4,17 +4,20 @@ Every model family is linear in its amplitudes and offsets once its one or
 two nonlinear parameters (control strength, widths, center, splitting, decay
 time, period) are fixed.  Each fit is therefore a variable projection (Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the linear coefficients come
-from a closed-form least-squares solve, non-negative where the model needs
-it; the best of a fixed coarse grid over the nonlinear parameters (plus, for
-a trace, the poles of a matrix pencil) is the start; and :func:`nlls_minimize`
+from a closed-form least-squares solve of one or two columns (two unit
+columns have a closed-form SVD; the damped sinusoid's constant column is
+eliminated by centering), non-negative where the model needs it; the best of
+a fixed coarse grid over the nonlinear parameters (plus, for a trace, the
+poles of a matrix pencil) is the start; and :func:`nlls_minimize`
 (Levenberg-Marquardt damped Gauss-Newton with a central-difference Jacobian)
 polishes only the nonlinear parameters, positive ones in log coordinates.
 
 A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
 one pass: grid starts are scored in blocks of rows, and one minimizer loop
 keeps a damping per cell and a mask of the cells still iterating.  Rows meet
-only in per-row ``einsum`` reductions, elementwise operations and stacked
-LAPACK calls, so a cell's fit is bit-identical to that of its curve alone.
+only in per-row ``einsum`` reductions, elementwise operations and the
+minimizer's stacked solve of its normal equations, so a cell's fit is
+bit-identical to that of its curve alone.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ START_BLOCK = 1 << 13
 # amplitudes can only follow by diverging; the residual is quadratic in the
 # split there, so at this floor it is within ~1e-12 (relative) of that limit.
 MIN_SPLIT = 1e-6
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _exp(u):
@@ -223,26 +227,52 @@ def nlls_minimize(model, data: Dataset, init, *,
 # --- the separable core: closed-form linear solves, grid start, polish ---
 
 def _lstsq(basis, y, nonneg=False):
-    """Best coefficients of a ``(cells, columns, points)`` basis for the rows of
-    ``y``, and their curves.  As ``np.linalg.lstsq(rcond=None)`` on unit-norm
-    columns: the columns can differ in scale by many orders of magnitude.  An
-    overflowed basis gives a NaN curve, rejected like any non-finite trial.
-    ``nonneg`` makes a one-column solve the one-column NNLS."""
+    """Best coefficients of a ``(cells, columns, points)`` basis of one or two
+    columns for the rows of ``y``, and their curves, in closed form.
+
+    As ``np.linalg.lstsq(rcond=None)`` on unit-norm columns: the columns can
+    differ in scale by many orders of magnitude, a term is dropped where its
+    singular value is at most eps * points times the largest, and a zero column
+    is dropped, leaving the other one's solve.  An overflowed basis gives a NaN
+    curve, rejected like any non-finite trial.  ``nonneg`` makes a one-column
+    solve the one-column NNLS.
+    """
     sq = np.einsum("cnp,cnp->cn", basis, basis)
     if basis.shape[1] == 1:  # the cutoff only drops a zero column; inf gives NaN
         coef = np.einsum("cnp,cp->cn", basis, y) / np.where(sq > 0.0, sq, np.inf)
         coef = np.where(coef < 0.0, 0.0, coef) if nonneg else coef
     else:
-        bad = ~np.isfinite(sq).all(axis=1)
-        norms = np.sqrt(np.where((sq > 0.0) & ~bad[:, None], sq, 1.0))
-        unit = basis / norms[..., None]
-        unit[bad] = 0.0
-        u, s, vt = np.linalg.svd(unit.transpose(0, 2, 1), full_matrices=False)
-        kept = s > np.finfo(float).eps * max(basis.shape[1:]) * s[:, :1]
-        uy = np.divide(np.einsum("cpn,cp->cn", u, y), s, out=np.zeros_like(s), where=kept)
-        coef = np.einsum("cn,cnk->ck", uy, vt) / norms
-        coef[bad] = np.nan
+        coef = _two_column_solve(basis, y, sq)
     return coef, np.einsum("cn,cnp->cp", coef, basis)
+
+
+def _two_column_solve(basis, y, sq):
+    """Coefficients of two columns with squared norms ``sq``, by the closed-form
+    SVD of their unit-norm versions a, b.
+
+    Its right singular vectors are (1, +-1)/sqrt(2) and its singular values
+    |a +- b|/sqrt(2), so the solve is alpha (1, 1) + beta (1, -1), with alpha
+    and beta the coefficients of a + b and a - b.  These difference vectors keep
+    near-parallel columns accurate.  b is negated where a.b < 0, so that a + b
+    is the larger.  As |a| and |b| are one only to rounding, a - b is taken
+    orthogonal to a + b before projecting (else its error would grow with the
+    squared condition number), and its term is dropped where its singular
+    value is at most eps * points times that of a + b.
+    """
+    scale = np.sqrt(np.where(sq > 0.0, sq, 1.0))
+    scale[:, 1] = np.copysign(scale[:, 1], np.einsum("cp,cp->c", basis[:, 0], basis[:, 1]))
+    # a zero or a non-finite column makes NaN here, replaced or kept below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = basis / scale[..., None]
+        pm = unit[:, :1] + unit[:, 1:] * _SIGNS[:, None]
+        (pp, mm), (py, my) = np.einsum("cnp,cnp->nc", pm, pm), np.einsum("cnp,cp->nc", pm, y)
+        cross = np.einsum("cp,cp->c", pm[:, 0], pm[:, 1])
+        g = cross / pp
+        mm = mm - g * cross
+        kept = mm > (np.finfo(float).eps * basis.shape[2]) ** 2 * pp
+        beta = np.where(kept, (my - g * py) / mm, 0.0)
+        pair = ((py / pp - g * beta)[:, None] + beta[:, None] * _SIGNS) / scale
+    return np.where(sq == 0.0, 0.0, pair)
 
 
 def _rss(curve, y):
@@ -421,9 +451,11 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     On uniformly spaced times the model is a sum of three exponentials, so the
     poles of a matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38, 814 (1990))
     of one small Hankel SVD are the starts, next to nine coarse ones.  The
-    amplitude is reported non-negative, the phase in (-pi, pi].  A decay time
-    or period on a limit, to within the polish's step, is no measurement of
-    it and flags the fit ``at_limit``.  One trace at a time.
+    offset is eliminated by centering the trace and the two oscillating
+    columns, leaving a two-column solve.  The amplitude is reported
+    non-negative, the phase in (-pi, pi].  A decay time or period on a limit,
+    to within the polish's step, is no measurement of it and flags the fit
+    ``at_limit``.  One trace at a time.
     """
     if data.y.ndim != 1:
         raise ValueError("damped-sinusoid fit takes one trace at a time, not a stack")
@@ -438,11 +470,13 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     def project(u, y):
         decay, period = np.exp(np.clip(u, lo, hi)).T
         envelope, arg = np.exp(-t / decay[:, None]), 2.0 * np.pi * t / period[:, None]
-        coef, curve = _lstsq(np.stack(
-            [np.ones_like(arg), envelope * np.cos(arg), -envelope * np.sin(arg)], axis=1), y)
-        offset, a_cos, a_sin = coef.T
-        return {"offset": offset, "amplitude": np.hypot(a_cos, a_sin), "decay_time": decay,
-                "period": period, "phase": np.arctan2(a_sin, a_cos)}, curve
+        oscillation = np.stack([envelope * np.cos(arg), -envelope * np.sin(arg)], axis=1)
+        means, y_mean = oscillation.mean(axis=2), y.mean(axis=1)
+        coef, curve = _lstsq(oscillation - means[..., None], y - y_mean[:, None])
+        a_cos, a_sin = coef.T
+        return {"offset": y_mean - np.einsum("cn,cn->c", coef, means),
+                "amplitude": np.hypot(a_cos, a_sin), "decay_time": decay, "period": period,
+                "phase": np.arctan2(a_sin, a_cos)}, y_mean[:, None] + curve
 
     # a pencil of 12 keeps the SVD small enough to stay single-threaded in BLAS
     pencil = int(np.clip(12, 3, len(t) - 3))

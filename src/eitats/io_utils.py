@@ -30,7 +30,7 @@ __all__ = [
     "write_json_report",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 TWO_PI_MHZ = 2.0 * math.pi * 1e6
 
 

@@ -50,7 +50,8 @@ class AicReport:
 
     ``w_eit``/``w_ats`` are the Akaike weights of the total losses (these are
     the saturating classification weights); the per-point losses are carried
-    alongside for scale-free comparisons.
+    alongside for scale-free comparisons, and each fit's convergence flag and
+    iteration count with them.
     """
 
     i_eit: float
@@ -62,6 +63,10 @@ class AicReport:
     n_points: int
     r_eit: float
     r_ats: float
+    converged_eit: bool
+    converged_ats: bool
+    iterations_eit: int
+    iterations_ats: int
     k_eit: int = K_EIT
     k_ats: int = K_ATS
 
@@ -132,7 +137,8 @@ def discriminate(data: Dataset, eit_fit: FitResult | None = None,
     i_eit, i_ats = aic(n, eit_fit.residual_sum, K_EIT), aic(n, ats_fit.residual_sum, K_ATS)
     ibar_eit, ibar_ats = (i / n if not math.isinf(i) else -math.inf for i in (i_eit, i_ats))
     return AicReport(i_eit, i_ats, ibar_eit, ibar_ats, *akaike_weights(i_eit, i_ats), n,
-                     eit_fit.residual_sum, ats_fit.residual_sum)
+                     eit_fit.residual_sum, ats_fit.residual_sum, eit_fit.converged,
+                     ats_fit.converged, eit_fit.iterations, ats_fit.iterations)
 
 
 def weight_sweep(gamma_10: float, gamma_20: float, control_grid,

@@ -15,6 +15,7 @@ import pytest
 import eitats
 from eitats import cli
 from eitats.cli import main
+from eitats.fitting import fit_ats_model, fit_eit_model
 from eitats.io_utils import read_spectrum_csv, write_spectrum_csv
 from eitats.model_selection import weight_sweep
 from eitats.synth import synth_spectrum
@@ -64,7 +65,7 @@ class TestSimulate:
         assert spectrum.y.size == 61
         assert spectrum.y.max() == pytest.approx(1.0, rel=1e-9)
         doc = json.loads((out / "steady_state.json").read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["coherence_rates_mhz"]["gamma_10"] == pytest.approx(1.76, rel=1e-9)
         assert sum(doc["populations"]) == pytest.approx(1.0, abs=1e-9)
 
@@ -191,6 +192,11 @@ class TestDiscriminateCommand:
         assert doc["w_eit"] > 0.999
         assert doc["w_eit"] + doc["w_ats"] == pytest.approx(1.0, abs=1e-15)
         assert doc["k_eit"] == 4 and doc["k_ats"] == 3
+        # each fit's convergence, as the library fits report it
+        data = read_spectrum_csv(csv)
+        for model, fit in (("eit", fit_eit_model(data)), ("ats", fit_ats_model(data))):
+            assert doc[f"converged_{model}"] is fit.converged is True
+            assert doc[f"iterations_{model}"] == fit.iterations > 0
 
 
 class TestSweepCommand:
@@ -339,6 +345,7 @@ def test_csv_with_fewer_than_two_rows_is_rejected(cfg_file, tmp_path, capsys, ro
 SCIPY_PROBE = """\
 import sys
 from eitats.cli import main
+from eitats.fitting import fit_ats_model, fit_eit_model
 
 cfg, out = sys.argv[1:]
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

@@ -323,7 +323,7 @@ class TestReports:
                                  "arr": np.array([1.0, 2.0])},
                           {"config_hash": "x", "seed": "1"})
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["provenance"]["config_hash"] == "x"
         assert doc["loss"] == "-inf"
         assert doc["arr"] == [1.0, 2.0]

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitats import fitting
 from eitats.fitting import (
     MAX_ITERATIONS,
     Dataset,
     FitBatch,
+    FitResult,
     SingularJacobian,
     damped_sinusoid_curve,
     fit_ats_model,
@@ -17,7 +19,7 @@ from eitats.fitting import (
     lorentzian_curve,
     nlls_minimize,
 )
-from eitats.fitting import _solve
+from eitats.fitting import _lstsq, _solve
 from eitats.spectra import AtsModelParams, EitModelParams, ExactModelParams, tprime_exact
 from eitats.synth import default_detuning_grid, synth_spectrum
 
@@ -95,6 +97,128 @@ class TestMinimizer:
             Dataset(x=np.array([0.0, 0.0, 1.0]), y=np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             Dataset(x=np.array([0.0, 1.0]), y=np.array([1.0]))
+
+
+def two_columns(seed, points, cond, obtuse=False):
+    """Unit columns a, b whose matrix has condition number ``cond``, and a unit
+    vector orthogonal to both."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(points, 3)))[0].T
+    angle = 2.0 * np.arctan(1.0 / cond)  # |a + b| / |a - b| = cot(angle / 2)
+    b = np.cos(angle) * q[0] + np.sin(angle) * q[1]
+    return q[0], -b if obtuse else b, q[2]
+
+
+def lapack_reference(basis, y):
+    """``np.linalg.lstsq(rcond=None)`` on unit-norm columns, as coefficients of
+    the unit columns, with the solve's curve and residual norm."""
+    unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
+    coef = np.linalg.lstsq(unit.T, y, rcond=None)[0]
+    return coef, coef @ unit, np.linalg.norm(y - coef @ unit)
+
+
+class TestLinearSolve:
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(3, 80),
+           log_cond=st.floats(0.0, 8.0), log_scales=st.tuples(*[st.floats(-8.0, 8.0)] * 2),
+           obtuse=st.booleans(), noise=st.floats(0.0, 1.0), log_y=st.floats(-5.0, 5.0))
+    def test_matches_lapack_on_unit_columns(self, seed, points, log_cond, log_scales, obtuse,
+                                            noise, log_y):
+        cond = 10.0**log_cond
+        a, b, off = two_columns(seed, points, cond, obtuse)
+        mix = np.random.default_rng(seed + 1).normal(size=2)
+        # a residual below |y| / cond keeps the coefficients within cond * eps
+        y = 10.0**log_y * (mix[0] * a + mix[1] * b + noise / cond * off)
+        basis = np.stack([a, b]) * 10.0 ** np.array(log_scales)[:, None]
+        coef, curve = _lstsq(basis[None], y[None])
+        ref, ref_curve, res = lapack_reference(basis, y)
+        unit_coef = coef[0] * np.linalg.norm(basis, axis=1)
+        tol = 8.0 * cond * self.EPS
+        assert np.max(np.abs(unit_coef - ref)) <= tol * (np.linalg.norm(ref) + cond * res)
+        assert np.max(np.abs(curve[0] - ref_curve)) <= tol * np.linalg.norm(y)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.integers(2, 6), row=st.integers(0, 5))
+    def test_a_stacked_row_is_solved_as_if_alone(self, seed, cells, row):
+        rng = np.random.default_rng(seed)
+        basis = np.stack([np.stack(two_columns(seed + c, 61, 10.0 ** rng.uniform(0, 8),
+                                               rng.random() < 0.5)[:2])
+                          for c in range(cells)]) * 10.0 ** rng.uniform(-8, 8, (cells, 2, 1))
+        y, row = rng.normal(size=(cells, 61)), row % cells
+        coef, curve = _lstsq(basis, y)
+        alone = _lstsq(basis[row:row + 1], y[row:row + 1])
+        assert np.array_equal(coef[row], alone[0][0]) and np.array_equal(curve[row], alone[1][0])
+
+    def test_zero_column_leaves_the_other_columns_solve(self):
+        a, b, _ = two_columns(3, 40, 10.0)
+        y = np.random.default_rng(3).normal(size=40)
+        for k, column in ((0, 2.5 * a), (1, 0.4 * b)):
+            basis = np.zeros((1, 2, 40))
+            basis[0, k] = column
+            coef, curve = _lstsq(basis, y[None])
+            one, one_curve = _lstsq(basis[:, k:k + 1], y[None])
+            assert coef[0, k] == pytest.approx(one[0, 0], rel=1e-14) and coef[0, 1 - k] == 0.0
+            assert curve[0] == pytest.approx(one_curve[0], rel=1e-14)
+        coef, curve = _lstsq(np.zeros((1, 2, 40)), y[None])
+        assert not coef.any() and not curve.any()
+
+    def test_overflowed_column_gives_nan(self):
+        a, b, _ = two_columns(5, 30, 3.0)
+        basis = np.stack([a, b])[None].copy()
+        basis[0, 1, 7] = np.inf
+        coef, curve = _lstsq(basis, np.ones((1, 30)))
+        assert np.isnan(coef).all() and np.isnan(curve).all()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_parallel_columns_split_equally(self, sign):
+        a = two_columns(7, 25, 1.0)[0]
+        y = np.random.default_rng(7).normal(size=25)
+        coef, curve = _lstsq(np.stack([a, sign * a])[None], y[None])
+        assert coef[0, 0] == sign * coef[0, 1]
+        # the minimum-norm solution, as the SVD cutoff gives it
+        reference = lapack_reference(np.stack([a, sign * a]), y)[0]
+        assert coef[0] == pytest.approx(reference, rel=1e-14)
+        assert curve[0] == pytest.approx((a @ y) * a, rel=1e-14, abs=1e-15)
+
+
+class TestNoFactorizationInTheProjection:
+    """The linear solves of every fit are closed forms: no LAPACK factorization
+    runs in the projection, the grid scoring or the polish."""
+
+    @staticmethod
+    def refuse_factorizations(patch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK factorization inside a fit's projection")
+
+        for name in ("svd", "lstsq", "pinv", "qr"):
+            patch.setattr(np.linalg, name, refuse)
+
+    def test_spectrum_fits_of_a_stack(self, monkeypatch):
+        stack = Dataset(x=noisy_spectrum(0.5, 0).x,
+                        y=[noisy_spectrum(control, seed).y
+                           for control in (0.5, 2.88, 9.0) for seed in range(2)])
+        self.refuse_factorizations(monkeypatch)
+        for fit in (fit_eit_model, fit_ats_model, fit_lorentzian,
+                    lambda data: fit_exact_tprime_auto(data, G10, G20)):
+            batch = fit(stack)
+            assert len(batch) == 6 and all(isinstance(c, FitResult) for c in batch)
+
+    def test_damped_sinusoid_past_its_pencil_start(self, monkeypatch):
+        # the pencil start's one Hankel SVD is outside the projection
+        t = np.linspace(0.0, 400.0, 201)
+        y = damped_sinusoid_curve(t, 0.5, 0.4, 150.0, 56.8, 0.3)
+        separable_fit = fitting._separable_fit
+
+        def polish(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                self.refuse_factorizations(patch)
+                return separable_fit(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "_separable_fit", polish)
+        fit = fit_damped_sinusoid(Dataset(x=t, y=y))
+        assert fit.converged and fit.parameters["period"] == pytest.approx(56.8, rel=1e-8)
 
 
 class TestExactModelFit:
