@@ -232,10 +232,10 @@ def _lstsq(basis, y, nonneg=False):
 
     As ``np.linalg.lstsq(rcond=None)`` on unit-norm columns: the columns can
     differ in scale by many orders of magnitude, a term is dropped where its
-    singular value is at most eps * points times the largest, and a zero column
-    is dropped, leaving the other one's solve.  An overflowed basis gives a NaN
-    curve, rejected like any non-finite trial.  ``nonneg`` makes a one-column
-    solve the one-column NNLS.
+    singular value is at most eps * max(columns, points) times the largest,
+    and a zero column is dropped, leaving the other one's solve.  An
+    overflowed basis gives a NaN curve, rejected like any non-finite trial.
+    ``nonneg`` makes a one-column solve the one-column NNLS.
     """
     sq = np.einsum("cnp,cnp->cn", basis, basis)
     if basis.shape[1] == 1:  # the cutoff only drops a zero column; inf gives NaN
@@ -257,7 +257,7 @@ def _two_column_solve(basis, y, sq):
     is the larger.  As |a| and |b| are one only to rounding, a - b is taken
     orthogonal to a + b before projecting (else its error would grow with the
     squared condition number), and its term is dropped where its singular
-    value is at most eps * points times that of a + b.
+    value is at most eps * max(2, points) times that of a + b.
     """
     scale = np.sqrt(np.where(sq > 0.0, sq, 1.0))
     scale[:, 1] = np.copysign(scale[:, 1], np.einsum("cp,cp->c", basis[:, 0], basis[:, 1]))
@@ -269,7 +269,7 @@ def _two_column_solve(basis, y, sq):
         cross = np.einsum("cp,cp->c", pm[:, 0], pm[:, 1])
         g = cross / pp
         mm = mm - g * cross
-        kept = mm > (np.finfo(float).eps * basis.shape[2]) ** 2 * pp
+        kept = mm > (np.finfo(float).eps * max(basis.shape[1:])) ** 2 * pp
         beta = np.where(kept, (my - g * py) / mm, 0.0)
         pair = ((py / pp - g * beta)[:, None] + beta[:, None] * _SIGNS) / scale
     return np.where(sq == 0.0, 0.0, pair)
