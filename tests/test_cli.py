@@ -345,7 +345,6 @@ def test_csv_with_fewer_than_two_rows_is_rejected(cfg_file, tmp_path, capsys, ro
 SCIPY_PROBE = """\
 import sys
 from eitats.cli import main
-from eitats.fitting import fit_ats_model, fit_eit_model
 
 cfg, out = sys.argv[1:]
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
