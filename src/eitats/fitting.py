@@ -263,10 +263,10 @@ def _two_column_solve(basis, y, sq):
     scale[:, 1] = np.copysign(scale[:, 1], np.einsum("cp,cp->c", basis[:, 0], basis[:, 1]))
     # a zero or a non-finite column makes NaN here, replaced or kept below
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit = basis / scale[..., None]
-        pm = unit[:, :1] + unit[:, 1:] * _SIGNS[:, None]
-        (pp, mm), (py, my) = np.einsum("cnp,cnp->nc", pm, pm), np.einsum("cnp,cp->nc", pm, y)
-        cross = np.einsum("cp,cp->c", pm[:, 0], pm[:, 1])
+        a, b = basis[:, 0] / scale[:, :1], basis[:, 1] / scale[:, 1:]
+        plus, minus = a + b, a - b
+        pp, mm, cross, py, my = (np.einsum("cp,cp->c", u, v) for u, v in (
+            (plus, plus), (minus, minus), (plus, minus), (plus, y), (minus, y)))
         g = cross / pp
         mm = mm - g * cross
         kept = mm > (np.finfo(float).eps * max(basis.shape[1:])) ** 2 * pp
