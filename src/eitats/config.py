@@ -258,6 +258,8 @@ def _parse_scalar(token: str, kind: str, key: str, file_scale: float, line_no: i
                 f"{key} is not a frequency; unit suffix '{suffix}' not allowed", key
             )
         number = number * UNIT_SCALES[suffix] / file_scale
+    if not math.isfinite(number):
+        raise ValidationError(f"{key} must be finite (got {token})", key)
     if kind == "int":
         if number != int(number):
             raise ValidationError(f"{key} must be an integer (got {token})", key)

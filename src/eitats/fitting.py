@@ -383,9 +383,10 @@ def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
         return {"cplus_sq": cp, "cminus_sq": cm, "gamma_plus": gp, "gamma_minus": gm}, curve
 
     span = max(-data.x[0], data.x[-1])
-    starts = [[0.5 * np.log(gp * gm), np.log(gp / gm - 1.0)]
-              for gp in np.geomspace(span / 25.0, 1.2 * span, 10)
-              for gm in np.geomspace(span / 120.0, 0.6 * span, 10) if gm < gp]
+    gp, gm = np.meshgrid(np.geomspace(span / 25.0, 1.2 * span, 10),
+                         np.geomspace(span / 120.0, 0.6 * span, 10), indexing="ij")
+    gp, gm = gp[gm < gp], gm[gm < gp]
+    starts = np.stack([0.5 * np.log(gp * gm), np.log(gp / gm - 1.0)], axis=1)
     return _separable_fit(data, project, starts)
 
 
@@ -405,8 +406,9 @@ def fit_ats_model(data: Dataset) -> FitResult | FitBatch:
         return {"c_sq": c_sq[:, 0], "gamma": gamma[:, 0], "delta_0": d0[:, 0]}, curve
 
     span = max(-x[0], x[-1])
-    starts = [[np.log(gamma), d0] for d0 in np.linspace(0.0, 0.9 * span, 10)
-              for gamma in np.geomspace(span / 60.0, span, 8)]
+    d0, gamma = np.meshgrid(np.linspace(0.0, 0.9 * span, 10),
+                            np.geomspace(span / 60.0, span, 8), indexing="ij")
+    starts = np.stack([np.log(gamma.ravel()), d0.ravel()], axis=1)
     return _separable_fit(data, project, starts)
 
 
@@ -433,8 +435,10 @@ def fit_lorentzian(data: Dataset) -> FitResult | FitBatch:
         return ({"center": u[:, 0], "half_width": _exp(u[:, 1]), "amplitude": amplitude,
                  "offset": offset}, np.where(negative[:, None], flat_curve, curve))
 
-    starts = [[center, np.log(hw)] for center in np.linspace(x[0], x[-1], 41)
-              for hw in np.geomspace(float(np.min(np.diff(x))), x[-1] - x[0], 10)]
+    center, hw = np.meshgrid(np.linspace(x[0], x[-1], 41),
+                             np.geomspace(float(np.min(np.diff(x))), x[-1] - x[0], 10),
+                             indexing="ij")
+    starts = np.stack([center.ravel(), np.log(hw.ravel())], axis=1)
     return _separable_fit(data, project, starts, signal="amplitude", flat_ok=True)
 
 

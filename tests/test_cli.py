@@ -347,27 +347,24 @@ import sys
 from eitats.cli import main
 
 cfg, out = sys.argv[1:]
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 for argv in (["transmon"], ["simulate"],
              ["fit", "--model", "exact", "--input", out + "/spectrum.csv"],
-             ["discriminate", "--input", out + "/spectrum.csv"]):
+             ["discriminate", "--input", out + "/spectrum.csv"], ["sweep"],
+             ["rabi", "--fit"]):
     assert main([*argv, "--config", cfg, "--out", out]) == 0, argv
-print(loaded())
-assert main(["rabi", "--config", cfg, "--out", out]) == 0
-print(loaded())
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_only_rabi_imports_scipy(cfg_file, tmp_path):
+def test_no_subcommand_imports_scipy(cfg_file, tmp_path):
     # a fresh interpreter, so modules imported by this test session do not count
     cfg = cfg_file(BASE_CFG + TRANSMON_CFG.replace("units = MHz\n", "")
                    + "cavity.frequency = 8216.90\ncavity.q_loaded = 1000\n"
-                   + "cavity.g1 = 173\nrabi.points = 41\n")
+                   + "cavity.g1 = 173\nrabi.points = 41\n"
+                   + "drive.omega_c_grid = 3.0,5.0\nnoise.seeds = 2\n")
     src = str(Path(eitats.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, cfg, str(tmp_path / "o")],
                           env=env, capture_output=True, text=True, check=True)
-    before_rabi, after_rabi = proc.stdout.splitlines()
-    assert before_rabi == "[]"
-    assert "'scipy.linalg'" in after_rabi
+    assert proc.stdout == "[]\n"

@@ -297,10 +297,16 @@ class TestSpectrumCsv:
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("where", ["csv", "dataset"])
+@pytest.mark.parametrize("where", ["csv", "dataset", "config"])
 def test_non_finite_input_rejected_where_it_enters(tmp_path, bad, where):
     rows = [("-1", "0.5"), ("0", bad), ("1", "0.5")]
-    if where == "csv":
+    if where == "config":
+        # no number literal is NaN; an overflow is inf, also after unit scaling
+        literal = {"nan": "nan", "inf": "1e400", "-inf": "-1e300 GHz"}[bad]
+        with pytest.raises((ParseError, ValidationError), match="rates.gamma10"):
+            parse_config_text(f"units = Hz\nrates.gamma10 = {literal}\n"
+                              "rates.gamma20 = 1\nrates.gamma21 = 1\n")
+    elif where == "csv":
         path = tmp_path / "s.csv"
         path.write_text("# seed=1\ndetuning_mhz,tprime\n"
                         + "".join(f"{x},{y}\n" for x, y in rows))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, null_space
 
@@ -156,7 +155,7 @@ class TestEvolve:
         step, stride = 1e-9, 7
         traj = evolve(ket_rho(0), paper_rates, drive, 103 * step, step=step,
                       sample_stride=stride)
-        stepper = lindblad._rk4_stepper(liouvillian_matrix(paper_rates, drive), step)
+        stepper = expm(liouvillian_matrix(paper_rates, drive) * step)
         vec = ket_rho(0).reshape(9)
         expected = [vec]
         for k in range(1, 104):
@@ -166,10 +165,16 @@ class TestEvolve:
         assert traj.times == pytest.approx(step * np.r_[0:103:stride, 103], rel=1e-12)
         assert np.max(np.abs(traj.states.reshape(-1, 9) - np.array(expected))) < 1e-12
 
-    def test_trace_drift_aborts(self, paper_rates):
+    def test_coarse_step_stays_exact(self, paper_rates):
+        # a step far too long for a fixed-step scheme only spaces the samples
         drive = DriveConfig(control=50.0 * M, probe=0.0)
-        with pytest.raises(TraceDriftError):
-            evolve(ket_rho(1), paper_rates, drive, 2e-6, step=2e-8)
+        traj = evolve(ket_rho(1), paper_rates, drive, 2e-6, step=2e-8)
+        liou = liouvillian_matrix(paper_rates, drive)
+        expected = [expm(liou * t) @ ket_rho(1).reshape(9) for t in traj.times]
+        assert traj.times.size == 101
+        assert np.max(np.abs(traj.states.reshape(-1, 9) - np.array(expected))) < 1e-12
+        for rho in traj.states:
+            validate_density_matrix(rho)
 
     def test_argument_validation(self, paper_rates):
         drive = DriveConfig(control=0.0, probe=0.0)
@@ -376,10 +381,13 @@ class TestRabiTrace:
         assert np.max(np.abs(trace - reference)) < 1e-12 * np.max(reference)
 
     def test_trace_drift_aborts(self, paper_rates, monkeypatch):
-        # rabi_trace imports expm when called, so the patched attribute is used
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: 1.001 * expm(m))
-        with pytest.raises(TraceDriftError):
+        monkeypatch.setattr(lindblad, "_expm", lambda m: 1.001 * expm(m))
+        with pytest.raises(TraceDriftError, match="at t = 0.000e\\+00 s"):
             rabi_trace(paper_rates, 1.0 * M, np.linspace(0.0, 1e-7, 11))
+
+    def test_nan_probe_counts_as_drift(self, paper_rates):
+        with pytest.raises(TraceDriftError, match="nan"):
+            rabi_trace(paper_rates, float("nan"), np.linspace(0.0, 1e-7, 11))
 
     def test_doubling_probe_halves_period(self):
         rates = ThreeLevelRates(relax_10=0.0, relax_20=2.0 * M, relax_21=0.0)
@@ -396,6 +404,45 @@ class TestRabiTrace:
             rabi_trace(paper_rates, 1.0 * M, np.array([0.0]))
         with pytest.raises(ValueError):
             rabi_trace(paper_rates, 1.0 * M, np.array([1e-9, 0.5e-9]))
+
+
+def assert_expm_matches_scipy(a):
+    reference = expm(a)
+    assert np.max(np.abs(lindblad._expm(a) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def mhz(high):
+    # off or at least 1 kHz: scipy's expm returns NaN where an entry is subnormal
+    return st.one_of(st.just(0.0), st.floats(1e-3, high))
+
+
+class TestExpm:
+    @settings(max_examples=200, deadline=None)
+    @given(relax=st.tuples(*[mhz(20.0)] * 3), dephase=st.tuples(*[mhz(5.0)] * 3),
+           control=mhz(50.0), probe=mhz(10.0), detuning=mhz(50.0),
+           detuning_sign=st.sampled_from([-1.0, 1.0]), log_gap=st.floats(-11.0, -4.0))
+    def test_matches_scipy(self, relax, dephase, control, probe, detuning, detuning_sign,
+                           log_gap):
+        # rates and drives in MHz, gaps from 10 ps to 100 us.  Two scaling-and-
+        # squaring codes agree only to about 2^s eps after s squarings, so the
+        # 1-norm is held to 1e3 (8 squarings): at 1e5 they differ by up to
+        # 7e-12, and either may be the one nearer the exact exponential.
+        rates = ThreeLevelRates(*(M * v for v in relax + dephase))
+        drive = DriveConfig(control=control * M, probe=probe * M,
+                            detuning=detuning_sign * detuning * M)
+        a = liouvillian_matrix(rates, drive) * 10.0**log_gap
+        assume(np.abs(a).sum(axis=0).max() <= 1e3)
+        assert_expm_matches_scipy(a)
+
+    @pytest.mark.parametrize("gap", [1e-11, 1e-9, 1e-7, 1e-5])
+    def test_exceptional_point(self, paper_rates, gap):
+        # Omega_c = (gamma_20 - gamma_10)/2 merges the two poles: L is defective
+        control = 0.5 * (paper_rates.coherence_20 - paper_rates.coherence_10)
+        liou = liouvillian_matrix(paper_rates, DriveConfig(control=control, probe=0.0))
+        assert_expm_matches_scipy(liou * gap)
+
+    def test_zero_matrix(self):
+        assert_expm_matches_scipy(np.zeros((9, 9), dtype=complex))
 
 
 class TestValidateDensityMatrix:
