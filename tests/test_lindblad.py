@@ -425,7 +425,7 @@ class TestExpm:
                            log_gap):
         # rates and drives in MHz, gaps from 10 ps to 100 us.  Two scaling-and-
         # squaring codes agree only to about 2^s eps after s squarings, so the
-        # 1-norm is held to 1e3 (8 squarings): at 1e5 they differ by up to
+        # 1-norm is held to 1e3 (8 squarings): near 7e4 they differ by up to
         # 7e-12, and either may be the one nearer the exact exponential.
         rates = ThreeLevelRates(*(M * v for v in relax + dephase))
         drive = DriveConfig(control=control * M, probe=probe * M,
