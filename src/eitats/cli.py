@@ -17,6 +17,7 @@ seeds.  Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -80,6 +81,7 @@ NUMERICAL_ERRORS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eitats",
@@ -133,6 +135,8 @@ def _outdir(args, config: ExperimentConfig) -> Path:
 
 def _control_rad(args, config: ExperimentConfig) -> float | None:
     if getattr(args, "omega_c", None) is not None:
+        if not math.isfinite(args.omega_c):
+            raise ValidationError(f"--omega-c must be finite (got {args.omega_c})", "omega_c")
         if args.omega_c < 0:
             raise ValidationError("--omega-c must be >= 0", "omega_c")
         return args.omega_c * TWO_PI_MHZ
@@ -141,6 +145,8 @@ def _control_rad(args, config: ExperimentConfig) -> float | None:
 
 def _seed(args, config: ExperimentConfig) -> int:
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0 (got {args.seed})", "seed")
         return args.seed
     return config.noise.seed
 

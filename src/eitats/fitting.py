@@ -11,6 +11,9 @@ a fixed coarse grid over the nonlinear parameters (plus, for a trace, the
 poles of a matrix pencil) is the start; and :func:`nlls_minimize`
 (Levenberg-Marquardt damped Gauss-Newton with a central-difference Jacobian)
 polishes only the nonlinear parameters, positive ones in log coordinates.
+Each trial point is evaluated together with its own central-difference
+shifts, in one model call, so an accepted trial brings the Jacobian of the
+next iteration with it.
 
 A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
 one pass: grid starts are scored in blocks of rows, and one minimizer loop
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectra import ExactModelParams, tprime_exact
+from .spectra import _tprime
 
 __all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimize",
            "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_lorentzian",
@@ -131,14 +134,18 @@ def nlls_minimize(model, data: Dataset, init, *,
     """Minimize sum of squared residuals of ``model(x, p)`` against the data.
 
     Levenberg-Marquardt damping on the Gauss-Newton normal equations with a
-    numerically differenced (central) Jacobian.  Convergence is declared on a
-    relative residual improvement below ``FTOL``, on a scale-free gradient
-    norm (the largest cosine between the residual and a Jacobian column)
-    below ``GTOL``, or on reaching a point no damped step can improve;
-    hitting ``max_iterations`` instead returns the best point found with
-    ``converged=False``.  A model insensitive to every parameter at the start
-    raises :class:`SingularJacobian`; one that becomes so after accepted steps
-    has reached a stationary point.  Parameters are reported as ``p0, p1, ...``.
+    numerically differenced (central) Jacobian.  The start and every trial
+    point are evaluated with their own 2n central-difference shifts in one
+    model call, so an iteration costs one model call per trial solve and an
+    accepted trial's Jacobian is the next iteration's, bit for bit as if
+    recomputed there.  Convergence is declared on a relative residual
+    improvement below ``FTOL``, on a scale-free gradient norm (the largest
+    cosine between the residual and a Jacobian column) below ``GTOL``, or on
+    reaching a point no damped step can improve; hitting ``max_iterations``
+    instead returns the best point found with ``converged=False``.  A model
+    insensitive to every parameter at the start raises
+    :class:`SingularJacobian`; one that becomes so after accepted steps has
+    reached a stationary point.  Parameters are reported as ``p0, p1, ...``.
 
     For a stack, ``init`` is ``(cells, n)`` and ``model(x, p, rows)`` gives the
     curves of the cells ``rows`` (which may repeat) at the parameters ``p``.
@@ -152,17 +159,26 @@ def nlls_minimize(model, data: Dataset, init, *,
     errors, eye = {}, np.eye(n_par)
     lam, converged, iterations = np.full(cells, 1e-3), np.zeros(cells, bool), np.zeros(cells, int)
 
-    def residual(params, rows):
-        r = y[rows] - model(x, params, rows)
-        return r, np.einsum("cp,cp->c", r, r)
+    def evaluate(params, rows):
+        """Residuals, their squared norms and the central-difference Jacobian
+        at ``params``, from one model call; the Jacobian is parameter-major,
+        ``(n, rows, points)``, the memory order its einsum reductions sum in."""
+        h = FD_REL_STEP * np.maximum(np.abs(params), 1.0)
+        shifted = [params + sign * eye[k] * h for k in range(n_par) for sign in (1, -1)]
+        curves = model(x, np.concatenate([params] + shifted), np.tile(rows, 1 + 2 * n_par))
+        curves = curves.reshape(1 + 2 * n_par, rows.size, -1)
+        r = y[rows] - curves[0]
+        plus, minus = curves[1:].reshape(n_par, 2, rows.size, -1).transpose(1, 0, 2, 3)
+        return r, np.einsum("cp,cp->c", r, r), (plus - minus) / (2.0 * h.T[:, :, None])
 
     def fail(rows, exc):
-        errors.update(dict.fromkeys(rows.tolist(), exc))
-        live[rows] = False
+        if rows.size:
+            errors.update(dict.fromkeys(rows.tolist(), exc))
+            live[rows] = False
 
     # exploratory steps may overflow; non-finite trials are rejected
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, rss = residual(p, np.arange(cells))
+        r, rss, jac = evaluate(p, np.arange(cells))
         live = np.isfinite(rss)
         fail(np.flatnonzero(~live), ValueError("model is not finite at the initial parameters"))
         for it in range(1, max_iterations + 1):
@@ -170,16 +186,11 @@ def nlls_minimize(model, data: Dataset, init, *,
             if rows.size == 0:
                 break
             iterations[rows] = it
-            # both central-difference shifts of every parameter, in one call
-            h = FD_REL_STEP * np.maximum(np.abs(p[rows]), 1.0)
-            shifted = [p[rows] + sign * eye[k] * h for k in range(n_par) for sign in (1, -1)]
-            curves = model(x, np.concatenate(shifted), np.tile(rows, 2 * n_par))
-            plus, minus = curves.reshape(n_par, 2, rows.size, -1).transpose(1, 2, 3, 0)
-            jac = (plus - minus) / (2.0 * h[:, None, :])
-            ok = np.isfinite(jac).all(axis=(1, 2))
+            jac_rows = jac[:, rows].transpose(1, 2, 0)
+            ok = np.isfinite(jac_rows).all(axis=(1, 2))
             fail(rows[~ok], SingularJacobian("Jacobian is not finite"))
-            grad = np.einsum("cpk,cp->ck", jac, r[rows])
-            col_norms = np.sqrt(np.einsum("cpk,cpk->ck", jac, jac))
+            grad = np.einsum("cpk,cp->ck", jac_rows, r[rows])
+            col_norms = np.sqrt(np.einsum("cpk,cpk->ck", jac_rows, jac_rows))
             active = col_norms > 0.0
             blind = ~active.any(axis=1)
             if it == 1:
@@ -191,8 +202,8 @@ def nlls_minimize(model, data: Dataset, init, *,
             cosine = np.where(active, np.abs(grad) / (col_norms * r_norm[:, None]), 0.0).max(axis=1)
             done = ok & ((r_norm == 0.0) | blind | (cosine < GTOL))
             converged[rows[done]], live[rows[done]] = True, False
-            rows, jac, grad = rows[ok & ~done], jac[ok & ~done], grad[ok & ~done]
-            jtj = np.einsum("cpk,cpl->ckl", jac, jac)
+            rows, jac_rows, grad = rows[ok & ~done], jac_rows[ok & ~done], grad[ok & ~done]
+            jtj = np.einsum("cpk,cpl->ckl", jac_rows, jac_rows)
             diag = np.diagonal(jtj, axis1=1, axis2=2)
             # a parameter the model is momentarily blind to (zero column, e.g. a
             # splitting at exactly zero) is frozen by full damping, not failed
@@ -205,12 +216,13 @@ def nlls_minimize(model, data: Dataset, init, *,
                 step, singular = _solve(jtj[t] + lam[at, None, None] * damping[t], grad[t])
                 fail(at[singular], SingularJacobian("normal equations are singular"))
                 p_try = p[at] + step
-                r_try, rss_try = residual(p_try, at)
+                r_try, rss_try, jac_try = evaluate(p_try, at)
                 saw_finite_trial[t] |= np.isfinite(rss_try)
                 better = rss_try < rss[at]
                 won, rss_won = at[better], rss_try[better]
                 converged[won] = rss[won] - rss_won <= FTOL * np.maximum(rss_won, 1e-300)
                 p[won], r[won], rss[won] = p_try[better], r_try[better], rss_won
+                jac[:, won] = jac_try[:, better]
                 lam[won] = np.maximum(lam[won] * 0.1, 1e-14)
                 lam[at[~better]] *= 10.0
                 accepted[t[better]] = True
@@ -339,11 +351,13 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
     multimodal once the doublet splits, so the start is the best of a fixed
     geometric grid of controls, plus ``control_hint`` when given.
     """
+    if not (gamma_10 > 0 and gamma_20 > 0):
+        raise ValueError("coherence rates must be > 0")
+
     def project(u, y):
         control = _exp(u[:, 0])
-        amplitude, curve = _lstsq(np.array([tprime_exact(data.x, ExactModelParams(
-            amplitude=1.0, probe=1.0, control=c, gamma_10=gamma_10, gamma_20=gamma_20))
-            for c in control])[:, None], y, nonneg=True)
+        column = _tprime(data.x, 1.0, control[:, None], gamma_10, gamma_20)
+        amplitude, curve = _lstsq(column[:, None], y, nonneg=True)
         return {"control": control, "amplitude": amplitude[:, 0]}, curve
 
     controls = list(np.geomspace(0.02, 3.2, 25) * max(gamma_20, -data.x[0], data.x[-1]))

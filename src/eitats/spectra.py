@@ -112,13 +112,18 @@ class EitWindow:
     feasible: bool
 
 
+def _tprime(d, scale, control, gamma_10, gamma_20):
+    """``scale * G / (D^2 + G^2)``, broadcast over the arguments."""
+    lor = control**2 / (d**2 + gamma_10**2)
+    width = gamma_20 + gamma_10 * lor
+    shift = d - d * lor
+    return scale * width / (shift**2 + width**2)
+
+
 def tprime_exact(delta, p: ExactModelParams):
     """Exact normalized transmission at detuning(s) ``delta`` (rad/s)."""
-    d = np.asarray(delta, dtype=float)
-    lor = p.control**2 / (d**2 + p.gamma_10**2)
-    width = p.gamma_20 + p.gamma_10 * lor
-    shift = d - d * lor
-    out = p.amplitude * p.probe * width / (shift**2 + width**2)
+    out = _tprime(np.asarray(delta, dtype=float), p.amplitude * p.probe, p.control,
+                  p.gamma_10, p.gamma_20)
     return out if out.ndim else float(out)
 
 

@@ -99,6 +99,24 @@ class TestSimulate:
         b = read_spectrum_csv(out_b / "spectrum.csv")
         assert not np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_non_finite_omega_c_exit_one(self, cfg_file, tmp_path, capsys, value, command):
+        cfg = cfg_file(BASE_CFG)
+        csv = tmp_path / "s.csv"
+        write_spectrum_csv(csv, synth_spectrum(1.76 * M, 6.90 * M, 2.06 * M), {})
+        extra = ["--model", "exact", "--input", str(csv)] if command == "fit" else []
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "o"), *extra,
+                   "--omega-c", value) == 1
+        assert capsys.readouterr().err == (
+            f"eitats: error: --omega-c must be finite (got {float(value)})\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "rabi"])
+    def test_negative_seed_exit_one(self, cfg_file, tmp_path, capsys, command):
+        cfg = cfg_file(BASE_CFG + "drive.omega_c_grid = 3.0,5.0\nnoise.seeds = 2\n")
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-3") == 1
+        assert capsys.readouterr().err == "eitats: error: --seed must be >= 0 (got -3)\n"
+
     def test_no_dissipation_exit_two(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG.replace("rates.gamma10 = 3.52", "rates.gamma10 = 0")
                        .replace("rates.gamma20 = 6.90", "rates.gamma20 = 0")
@@ -299,6 +317,27 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "nope.cfg")) == 1
+
+    def test_one_parser_serves_every_call(self, cfg_file, tmp_path, capsys):
+        # the argparse tree is built once per process; reusing it leaves no
+        # state behind from one command to the next
+        cfg = cfg_file(BASE_CFG)
+        csv = tmp_path / "s.csv"
+        write_spectrum_csv(csv, synth_spectrum(1.76 * M, 6.90 * M, 5.29 * M,
+                                               noise_sigma=0.03, seed_parts=(4,)), {})
+        fit = ("fit", "--config", cfg, "--model", "exact", "--input", str(csv))
+        assert run(*fit, "--out", str(tmp_path / "a")) == 0
+        assert run("discriminate", "--config", cfg, "--input", str(csv),
+                   "--out", str(tmp_path / "d")) == 0
+        assert run("simulate", "--config", cfg, "--omega-c", "19.7", "--seed", "3",
+                   "--out", str(tmp_path / "s")) == 0
+        assert run(*fit, "--out", str(tmp_path / "b")) == 0
+        assert cli._build_parser() is cli._build_parser()
+        assert ((tmp_path / "a" / "fit_exact.json").read_bytes()
+                == (tmp_path / "b" / "fit_exact.json").read_bytes())
+        capsys.readouterr()
+        assert run("fit", "--config", cfg, "--input", str(csv), "--model", "bogus") == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_every_numerical_exception_exits_2(self):
         # every exception class the package defines, except the two config

@@ -58,6 +58,32 @@ class TestMinimizer:
             assert fit.parameters["p0"] == pytest.approx(slope, rel=1e-10)
         assert batch.iterations == max(fit.iterations for fit in batch)
 
+    def test_one_model_call_per_trial_solve(self, monkeypatch):
+        # the start and every trial point carry their own 2n central-difference
+        # shifts, so no iteration spends a model call on its Jacobian alone
+        x = np.linspace(0.0, 4.0, 30)
+        truth = np.array([[2.0, 0.7], [0.5, 1.5], [1.2, 0.3]])
+        calls, solves = [], []
+        solve = fitting._solve
+
+        def counted_solve(m, b):
+            solves.append(len(b))
+            return solve(m, b)
+
+        def model(xv, p, rows):
+            calls.append(rows)
+            return p[:, :1] * np.exp(-p[:, 1:] * xv)
+
+        monkeypatch.setattr(fitting, "_solve", counted_solve)
+        batch = nlls_minimize(model, Dataset(x=x, y=truth[:, :1] * np.exp(-truth[:, 1:] * x)),
+                              np.ones((3, 2)))
+        assert batch.converged and len(solves) > batch.iterations
+        assert len(calls) == 1 + len(solves)
+        assert np.array_equal(calls[0], np.tile(np.arange(3), 5))
+        for rows, trials in zip(calls[1:], solves):
+            assert rows.size == 5 * trials
+            assert np.array_equal(rows, np.tile(rows[:trials], 5))
+
     def test_singular_normal_equations_fail_alone(self):
         m = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
         step, singular = _solve(m, np.ones((2, 2)))

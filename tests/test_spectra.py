@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitats.fitting import Dataset, fit_ats_model
 from eitats.lindblad import DriveConfig, ThreeLevelRates, coherence_rho20_analytic
@@ -17,6 +19,7 @@ from eitats.spectra import (
     gamma_pm,
     tprime_exact,
 )
+from eitats.spectra import _tprime
 
 # working in plain 2pi*MHz-free numbers; every formula here is scale-free
 G10, G20 = 1.76, 6.90
@@ -25,6 +28,25 @@ G10, G20 = 1.76, 6.90
 def params(control, amplitude=1.0, probe=1.0, g10=G10, g20=G20):
     return ExactModelParams(amplitude=amplitude, probe=probe, control=control,
                             gamma_10=g10, gamma_20=g20)
+
+
+class TestBroadcastTprime:
+    @settings(max_examples=200, deadline=None)
+    @given(controls=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6),
+           g10=st.floats(0.1, 10.0), g20=st.floats(0.1, 20.0))
+    def test_matches_the_curve_of_each_control(self, controls, g10, g20):
+        # A scalar control**2 is libm pow and an array's is a multiply; they
+        # can differ in the last bit.  Through D = delta (1 - lor) that bit
+        # grows, relative to D^2 + G^2, by at most |delta lor| / G, which is
+        # below control^2 / (g10 g20); a few roundings of each operation add
+        # the rest.  The tolerance is that bound, with room.
+        delta = np.linspace(-60.0, 60.0, 121)
+        control = np.array(controls)
+        stacked = _tprime(delta, 1.0, control[:, None], g10, g20)
+        for row, c in zip(stacked, control):
+            single = tprime_exact(delta, params(float(c), g10=g10, g20=g20))
+            rtol = 16 * np.finfo(float).eps * (1.0 + c**2 / (g10 * g20))
+            np.testing.assert_allclose(row, single, rtol=rtol, atol=0.0)
 
 
 class TestTprimeExact:
