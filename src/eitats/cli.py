@@ -9,9 +9,10 @@ discriminate fit both reduced models and report information-criterion weights
 sweep        seeded noise sweep of model weights vs control strength
 rabi         time-domain excited-population trace (optionally fitted)
 
-All file-facing frequencies are MHz; outputs are written atomically with a
-provenance header and are byte-identical when rerun with the same config and
-seeds.  Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
+File-facing frequencies are MHz (via ``io_utils.TWO_PI_MHZ`` and ``HZ_PER_MHZ``)
+and times ns.  Outputs are written atomically with a provenance header and are
+byte-identical when rerun with the same config and seeds.  Exit codes:
+0 success, 1 validation/config error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,14 +37,8 @@ from .fitting import (
     fit_exact_tprime_auto,
     fit_lorentzian,
 )
-from .io_utils import (
-    TWO_PI_MHZ,
-    read_spectrum_csv,
-    read_trace_csv,
-    write_json_report,
-    write_spectrum_csv,
-    write_table_csv,
-)
+from .io_utils import (HZ_PER_MHZ, TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
+                       write_json_report, write_spectrum_csv, write_table_csv)
 from .lindblad import (
     DegenerateDenominator,
     NoUniqueSteadyState,
@@ -62,7 +57,7 @@ from .synth import add_noise
 from .transmon import (CutoffConvergenceError, circulating_current_coupling, diagonalize,
                        effective_josephson, selection_rule_sweep)
 
-MHZ = 1e6
+NS_PER_S = 1e9
 
 NUMERICAL_ERRORS = (
     SingularJacobian,
@@ -168,20 +163,20 @@ def cmd_transmon(args, config: ExperimentConfig) -> int:
         prov,
     )
 
-    freqs_mhz = sol.eigen_frequencies / MHZ
     payload = {
-        "charging_energy_mhz": spec.charging_energy / MHZ,
-        "effective_josephson_mhz": effective_josephson(spec) / MHZ,
+        "charging_energy_mhz": spec.charging_energy / HZ_PER_MHZ,
+        "effective_josephson_mhz": effective_josephson(spec) / HZ_PER_MHZ,
         "offset_charge": spec.offset_charge,
         "flux_ratio": spec.flux_ratio,
         "charge_cutoff": spec.charge_cutoff,
-        "eigen_frequencies_mhz": freqs_mhz,
-        "omega_10_mhz": sol.transition_frequency(1, 0) / MHZ,
-        "omega_20_mhz": sol.transition_frequency(2, 0) / MHZ,
-        "omega_21_mhz": sol.transition_frequency(2, 1) / MHZ,
+        "eigen_frequencies_mhz": sol.eigen_frequencies / HZ_PER_MHZ,
+        "omega_10_mhz": sol.transition_frequency(1, 0) / HZ_PER_MHZ,
+        "omega_20_mhz": sol.transition_frequency(2, 0) / HZ_PER_MHZ,
+        "omega_21_mhz": sol.transition_frequency(2, 1) / HZ_PER_MHZ,
         "n_elements": sol.n_elements,
         "cosphi_elements": sol.cosphi_elements,
-        "flux_coupling_02_mhz_per_phi0": circulating_current_coupling(spec, sol, 0, 2) / MHZ,
+        "flux_coupling_02_mhz_per_phi0":
+            circulating_current_coupling(spec, sol, 0, 2) / HZ_PER_MHZ,
     }
     write_json_report(out / "transmon_levels.json", payload, prov)
     return 0
@@ -249,16 +244,16 @@ def cmd_simulate(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _fit_result_payload(result, x_unit_scale: float) -> dict:
+def _fit_result_payload(result) -> dict:
     freq_keys = {"control", "gamma_plus", "gamma_minus", "gamma", "delta_0",
                  "center", "half_width"}
     sq_keys = {"cplus_sq", "cminus_sq", "c_sq"}
     params = {}
     for key, value in result.parameters.items():
         if key in freq_keys:
-            params[f"{key}_mhz"] = value / x_unit_scale
+            params[f"{key}_mhz"] = value / TWO_PI_MHZ
         elif key in sq_keys:
-            params[f"{key}_mhz2"] = value / x_unit_scale**2
+            params[f"{key}_mhz2"] = value / TWO_PI_MHZ**2
         else:
             params[key] = value
     return {
@@ -283,22 +278,21 @@ def cmd_fit(args, config: ExperimentConfig) -> int:
         rates = config.three_level_rates()
         result = fit_exact_tprime_auto(data, rates.coherence_10, rates.coherence_20,
                                        control_hint=_control_rad(args, config))
-        payload = _fit_result_payload(result, TWO_PI_MHZ)
+        payload = _fit_result_payload(result)
     elif args.model in ("eit", "ats"):
-        requested = fit_eit_model(data) if args.model == "eit" else fit_ats_model(data)
-        other = fit_ats_model(data) if args.model == "eit" else fit_eit_model(data)
-        eit_fit, ats_fit = (requested, other) if args.model == "eit" else (other, requested)
+        eit_fit, ats_fit = fit_eit_model(data), fit_ats_model(data)
         report = discriminate(data, eit_fit=eit_fit, ats_fit=ats_fit)
-        own_weight = report.w_eit if args.model == "eit" else report.w_ats
-        payload = _fit_result_payload(requested, TWO_PI_MHZ)
+        requested, own_weight = ((eit_fit, report.w_eit) if args.model == "eit"
+                                 else (ats_fit, report.w_ats))
+        payload = _fit_result_payload(requested)
         payload["model_weight"] = own_weight
         payload["regime_warning"] = own_weight < 0.5
     elif args.model == "lorentzian":
         result = fit_lorentzian(data)
-        payload = _fit_result_payload(result, TWO_PI_MHZ)
+        payload = _fit_result_payload(result)
     else:  # damped_sinusoid on a time trace in ns
         result = fit_damped_sinusoid(data)
-        payload = _fit_result_payload(result, 1.0)
+        payload = _fit_result_payload(result)
     payload["model"] = args.model
     write_json_report(out / f"fit_{args.model}.json", payload, prov)
     return 0
@@ -357,20 +351,21 @@ def cmd_rabi(args, config: ExperimentConfig) -> int:
         raise ValidationError("drive.omega_p must be > 0 for rabi", "drive.omega_p")
 
     if config.rabi.duration_ns is not None:
-        duration = config.rabi.duration_ns * 1e-9
+        duration = config.rabi.duration_ns / NS_PER_S
     else:
         duration = 8.0 * math.pi / probe  # eight oscillation periods
     times = np.linspace(0.0, duration, config.rabi.points)
     seed = _seed(args, config)
-    trace = add_noise(rabi_trace(rates, probe, times), config.noise.sigma, seed, 1, 0)
+    trace = Dataset(x=times * NS_PER_S, y=add_noise(rabi_trace(rates, probe, times),
+                                                     config.noise.sigma, seed, 1, 0))
 
     out = _outdir(args, config)
     prov = _provenance(config, "rabi", seed if config.noise.sigma > 0 else None)
-    write_table_csv(out / "rabi_trace.csv", ["time_ns", "p22"], [times * 1e9, trace], prov)
+    write_table_csv(out / "rabi_trace.csv", ["time_ns", "p22"], [trace.x, trace.y], prov)
 
     if args.fit:
-        result = fit_damped_sinusoid(Dataset(x=times * 1e9, y=trace))
-        payload = _fit_result_payload(result, 1.0)
+        result = fit_damped_sinusoid(trace)
+        payload = _fit_result_payload(result)
         payload["model"] = "damped_sinusoid"
         payload["period_ns"] = result.parameters["period"]
         payload["decay_time_ns"] = result.parameters["decay_time"]

@@ -26,6 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .io_utils import HZ_PER_MHZ, TWO_PI_MHZ
 from .lindblad import DriveConfig, ThreeLevelRates
 from .readout import CavitySpec
 from .synth import default_detuning_grid
@@ -40,8 +41,7 @@ __all__ = [
     "serialize_config",
 ]
 
-TWO_PI = 2.0 * math.pi
-UNIT_SCALES = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
+UNIT_SCALES = {"Hz": 1.0, "kHz": 1e3, "MHz": HZ_PER_MHZ, "GHz": 1e9}
 
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(GHz|MHz|kHz|Hz)?$")
 
@@ -151,8 +151,8 @@ class ExperimentConfig:
                 raise ValidationError(f"missing required config block '{name}'", name)
 
     def rad(self, value: float) -> float:
-        """Angular frequency (rad/s) of a value in the file unit."""
-        return value * self.unit_scale * TWO_PI
+        """Angular frequency (rad/s) of a file-unit value, via MHz and ``TWO_PI_MHZ``."""
+        return value * (self.unit_scale / HZ_PER_MHZ) * TWO_PI_MHZ
 
     def _hz(self, value: float) -> float:
         return value * self.unit_scale

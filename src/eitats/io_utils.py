@@ -21,6 +21,8 @@ from .fitting import Dataset
 
 __all__ = [
     "SCHEMA_VERSION",
+    "HZ_PER_MHZ",
+    "TWO_PI_MHZ",
     "fmt",
     "atomic_write_text",
     "write_spectrum_csv",
@@ -31,7 +33,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 3
-TWO_PI_MHZ = 2.0 * math.pi * 1e6
+# the one home of the file-facing unit factors: configs, flags, CSVs and reports
+HZ_PER_MHZ = 1e6
+TWO_PI_MHZ = 2.0 * math.pi * HZ_PER_MHZ  # rad/s per MHz (omega/2pi convention)
 
 
 def fmt(value: float) -> str:

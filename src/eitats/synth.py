@@ -16,12 +16,13 @@ from dataclasses import replace
 import numpy as np
 
 from .fitting import Dataset
+from .io_utils import TWO_PI_MHZ
 from .spectra import ExactModelParams, tprime_exact
 
 __all__ = ["cell_rng", "add_noise", "synth_spectrum", "default_detuning_grid"]
 
 DEFAULT_N_POINTS = 61
-DEFAULT_SPAN = 2.0 * np.pi * 25e6  # rad/s
+DEFAULT_SPAN = 25 * TWO_PI_MHZ  # rad/s
 
 
 def cell_rng(*seed_parts: int) -> np.random.Generator:

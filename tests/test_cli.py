@@ -33,6 +33,20 @@ drive.delta_span = 25
 drive.delta_points = 61
 """
 
+# the README example exp.cfg
+README_CFG = BASE_CFG + """\
+drive.omega_c_grid = 2.0:8.0:13
+noise.sigma = 0.03
+noise.seeds = 25
+noise.seed = 0
+transmon.e_c = 412
+transmon.e_j0 = 3500
+transmon.n_g = 0.5
+cavity.frequency = 8216.90
+cavity.q_loaded = 1000
+cavity.g1 = 173
+"""
+
 TRANSMON_CFG = """\
 units = MHz
 transmon.e_c = 412
@@ -98,6 +112,16 @@ class TestSimulate:
         a = read_spectrum_csv(out_a / "spectrum.csv")
         b = read_spectrum_csv(out_b / "spectrum.csv")
         assert not np.array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("omega_c", ["5.29", "6.9", "19.7"])
+    def test_omega_c_flag_equals_config_value(self, cfg_file, tmp_path, omega_c):
+        # a control strength converts to rad/s the same way from a flag and a config
+        cfg = cfg_file(README_CFG.replace("drive.omega_c = 2.06", f"drive.omega_c = {omega_c}"))
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run("simulate", "--config", cfg, "--out", str(out_a)) == 0
+        assert run("simulate", "--config", cfg, "--out", str(out_b), "--omega-c", omega_c) == 0
+        for name in ("spectrum.csv", "steady_state.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["simulate", "fit"])
@@ -249,6 +273,16 @@ class TestSweepCommand:
         doc = json.loads((out / "sweep.json").read_text())
         assert (doc["n_failed_fits"], doc["n_nonconverged_fits"]) == (1, 1)
 
+    def test_readme_sweep_matches_library(self, cfg_file, tmp_path):
+        cfg = cfg_file(README_CFG.replace("noise.seeds = 25", "noise.seeds = 2"))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--out", str(out)) == 0
+        table = np.loadtxt(out / "sweep.csv", delimiter=",", comments="#", skiprows=5)
+        assert table[:, 0].tolist() == np.linspace(2.0, 8.0, 13).tolist()
+        library = weight_sweep(1.76 * M, 6.90 * M, np.linspace(2.0, 8.0, 13) * M,
+                               noise_sigma=0.03, n_seeds=2, base_seed=0)
+        assert table[:, 1].tolist() == library.w_eit_mean.tolist()
+
     def test_sweep_determinism(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG + "drive.omega_c_grid = 4.0,6.0\n"
                        "noise.sigma = 0.03\nnoise.seeds = 2\nnoise.seed = 3\n")
@@ -284,6 +318,14 @@ rabi.points = 161
         assert len(lines) == 162
         doc = json.loads((out / "rabi_fit.json").read_text())
         assert doc["period_ns"] == pytest.approx(56.8, rel=0.01)
+
+    @pytest.mark.parametrize("duration", ["100", "400", "1000"])
+    def test_time_column_ends_at_duration(self, cfg_file, tmp_path, duration):
+        cfg = cfg_file(self.CFG + f"rabi.duration_ns = {duration}\n")
+        out = tmp_path / "out"
+        assert run("rabi", "--config", cfg, "--out", str(out)) == 0
+        last_row = (out / "rabi_trace.csv").read_text().splitlines()[-1]
+        assert last_row.split(",")[0] == duration
 
     def test_fit_reads_rabi_trace(self, cfg_file, tmp_path):
         cfg = cfg_file(self.CFG)

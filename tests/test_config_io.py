@@ -1,11 +1,14 @@
+import ast
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eitats
 from eitats.config import (
     UNIT_SCALES,
     CavityBlock,
@@ -24,6 +27,7 @@ from eitats.config import (
 )
 from eitats.fitting import Dataset
 from eitats.io_utils import (
+    TWO_PI_MHZ,
     read_spectrum_csv,
     write_json_report,
     write_spectrum_csv,
@@ -349,3 +353,46 @@ class TestReports:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
         assert path.exists()
+
+
+def _product_leaves(node):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        return _product_leaves(node.left) + _product_leaves(node.right)
+    return [node]
+
+
+def _number(node):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    return None
+
+
+def _unit_factor_lines(source: str) -> set:
+    """Lines that write a Hz-per-MHz literal (1e6), a 2*pi*10^6 multiple as a
+    literal, or a product of pi with a multiple of 10^6."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        value = _number(node)
+        if value is not None:
+            turns = value / TWO_PI_MHZ
+            if value == 1e6 or (round(turns) != 0 and abs(turns - round(turns)) < 1e-9):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.BinOp):
+            leaves = _product_leaves(node)
+            has_pi = any(getattr(leaf, "attr", getattr(leaf, "id", None)) in ("pi", "tau")
+                         for leaf in leaves)
+            numbers = [_number(leaf) for leaf in leaves]
+            if has_pi and any(v and v % 1e6 == 0 for v in numbers if v is not None):
+                lines.add(node.lineno)
+    return lines
+
+
+def test_unit_factors_are_written_only_in_io_utils():
+    src = Path(eitats.__file__).parent
+    found = {path.name: sorted(_unit_factor_lines(path.read_text(encoding="utf-8")))
+             for path in sorted(src.glob("*.py"))}
+    found = {name: lines for name, lines in found.items() if lines}
+    # io_utils holds HZ_PER_MHZ = 1e6, which TWO_PI_MHZ is built from
+    assert list(found) == ["io_utils.py"], found
+    assert _unit_factor_lines("span = 2.0 * np.pi * 25e6\n") == {1}
+    assert _unit_factor_lines("k = 6.283185307179586e6\nx = f / 1e6\n") == {1, 2}
