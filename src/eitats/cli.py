@@ -133,7 +133,7 @@ def _control_rad(args, config: ExperimentConfig) -> float | None:
         if not math.isfinite(args.omega_c):
             raise ValidationError(f"--omega-c must be finite (got {args.omega_c})", "omega_c")
         if args.omega_c < 0:
-            raise ValidationError("--omega-c must be >= 0", "omega_c")
+            raise ValidationError(f"--omega-c must be >= 0 (got {args.omega_c})", "omega_c")
         return args.omega_c * TWO_PI_MHZ
     return None
 
@@ -320,7 +320,7 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
     write_table_csv(
         out / "sweep.csv",
         ["omega_c_mhz", "w_eit", "w_ats", "w_eit_min", "w_eit_max"],
-        [grid / TWO_PI_MHZ, sweep.w_eit_mean, sweep.w_ats_mean,
+        [[config.mhz(v) for v in config.drive.omega_c_grid], sweep.w_eit_mean, sweep.w_ats_mean,
          sweep.w_eit_min, sweep.w_eit_max],
         prov,
     )
@@ -383,10 +383,22 @@ _COMMANDS = {
 }
 
 
+def _attach_omega_c(argv) -> list:
+    """``--omega-c VALUE`` as ``--omega-c=VALUE``: argparse takes a value such
+    as ``-inf`` for an option, so it would never reach the finite check."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--omega-c" and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_omega_c(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

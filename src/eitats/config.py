@@ -150,9 +150,13 @@ class ExperimentConfig:
             if getattr(self, name) is None:
                 raise ValidationError(f"missing required config block '{name}'", name)
 
+    def mhz(self, value: float) -> float:
+        """A file-unit frequency in MHz."""
+        return value * (self.unit_scale / HZ_PER_MHZ)
+
     def rad(self, value: float) -> float:
         """Angular frequency (rad/s) of a file-unit value, via MHz and ``TWO_PI_MHZ``."""
-        return value * (self.unit_scale / HZ_PER_MHZ) * TWO_PI_MHZ
+        return self.mhz(value) * TWO_PI_MHZ
 
     def _hz(self, value: float) -> float:
         return value * self.unit_scale

@@ -11,16 +11,14 @@ a fixed coarse grid over the nonlinear parameters (plus, for a trace, the
 poles of a matrix pencil) is the start; and :func:`nlls_minimize`
 (Levenberg-Marquardt damped Gauss-Newton with a central-difference Jacobian)
 polishes only the nonlinear parameters, positive ones in log coordinates.
-Each trial point is evaluated together with its own central-difference
-shifts, in one model call, so an accepted trial brings the Jacobian of the
-next iteration with it.
 
 A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
-one pass: grid starts are scored in blocks of rows, and one minimizer loop
-keeps a damping per cell and a mask of the cells still iterating.  Rows meet
-only in per-row ``einsum`` reductions, elementwise operations and the
-minimizer's stacked solve of its normal equations, so a cell's fit is
-bit-identical to that of its curve alone.
+one pass: projections broadcast, so grid starts are scored against all cells
+at once, and one flat minimizer loop gives each iterating cell one trial
+point, with its own central-difference shifts, per model call.  Rows meet only
+in per-row ``einsum`` reductions, elementwise operations and stacked
+normal-equation solves, so each cell's fit is bit-identical to its curve's
+alone.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ _SIGNS = np.array([1.0, -1.0])
 
 def _exp(u):
     """exp for log-space fit parameters, clipped against over/underflow."""
-    return np.exp(np.clip(u, -700.0, 700.0))
+    return np.exp(np.minimum(np.maximum(u, -700.0), 700.0))
 
 
 class SingularJacobian(Exception):
@@ -136,19 +134,20 @@ def nlls_minimize(model, data: Dataset, init, *,
     Levenberg-Marquardt damping on the Gauss-Newton normal equations with a
     numerically differenced (central) Jacobian.  The start and every trial
     point are evaluated with their own 2n central-difference shifts in one
-    model call, so an iteration costs one model call per trial solve and an
-    accepted trial's Jacobian is the next iteration's, bit for bit as if
-    recomputed there.  Convergence is declared on a relative residual
-    improvement below ``FTOL``, on a scale-free gradient norm (the largest
-    cosine between the residual and a Jacobian column) below ``GTOL``, or on
-    reaching a point no damped step can improve; hitting ``max_iterations``
-    instead returns the best point found with ``converged=False``.  A model
-    insensitive to every parameter at the start raises
-    :class:`SingularJacobian`; one that becomes so after accepted steps has
-    reached a stationary point.  Parameters are reported as ``p0, p1, ...``.
+    model call, so an accepted trial brings the next iteration's Jacobian, bit
+    for bit.  Convergence is declared on a relative residual improvement below
+    ``FTOL``, on a scale-free gradient norm (the largest cosine between the
+    residual and a Jacobian column) below ``GTOL``, or on reaching a point no
+    damped step can improve; hitting ``max_iterations`` instead returns the
+    best point found with ``converged=False``.  A model insensitive to every
+    parameter at the start raises :class:`SingularJacobian`; one that becomes
+    so after accepted steps has reached a stationary point.  Parameters are
+    reported as ``p0, p1, ...``.
 
     For a stack, ``init`` is ``(cells, n)`` and ``model(x, p, rows)`` gives the
     curves of the cells ``rows`` (which may repeat) at the parameters ``p``.
+    In one flat loop, each cell still iterating makes one trial per model call
+    and starts its next iteration as soon as a trial is accepted.
     """
     p = np.array(init, dtype=float, ndmin=2)
     cells, n_par = p.shape
@@ -156,81 +155,81 @@ def nlls_minimize(model, data: Dataset, init, *,
     if data.y.ndim == 1:
         model = (lambda one: lambda x, q, rows: np.array([one(x, qi) for qi in q]))(model)
     x, y = data.x, data.y.reshape(cells, -1)
-    errors, eye = {}, np.eye(n_par)
-    lam, converged, iterations = np.full(cells, 1e-3), np.zeros(cells, bool), np.zeros(cells, int)
+    errors, eye, copies = {}, np.eye(n_par), 1 + 2 * n_par
+    shifts = np.array([sign * eye[k] for k in range(n_par) for sign in (1, -1)])[:, None]
+    converged, iterations = np.zeros(cells, bool), np.zeros(cells, int)
 
     def evaluate(params, rows):
-        """Residuals, their squared norms and the central-difference Jacobian
-        at ``params``, from one model call; the Jacobian is parameter-major,
-        ``(n, rows, points)``, the memory order its einsum reductions sum in."""
+        """Residuals, their squared norms and the parameter-major ``(n, rows,
+        points)`` central-difference Jacobian at ``params``, in one model call."""
         h = FD_REL_STEP * np.maximum(np.abs(params), 1.0)
-        shifted = [params + sign * eye[k] * h for k in range(n_par) for sign in (1, -1)]
-        curves = model(x, np.concatenate([params] + shifted), np.tile(rows, 1 + 2 * n_par))
-        curves = curves.reshape(1 + 2 * n_par, rows.size, -1)
+        points = np.concatenate([params[None], params + shifts * h]).reshape(-1, n_par)
+        curves = model(x, points, np.concatenate([rows] * copies)).reshape(copies, rows.size, -1)
         r = y[rows] - curves[0]
         plus, minus = curves[1:].reshape(n_par, 2, rows.size, -1).transpose(1, 0, 2, 3)
         return r, np.einsum("cp,cp->c", r, r), (plus - minus) / (2.0 * h.T[:, :, None])
 
-    def fail(rows, exc):
-        if rows.size:
-            errors.update(dict.fromkeys(rows.tolist(), exc))
-            live[rows] = False
+    def fail(rows, message, kind=SingularJacobian):
+        errors.update(dict.fromkeys(rows.tolist(), kind(message)))
 
     # exploratory steps may overflow; non-finite trials are rejected
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r, rss, jac = evaluate(p, np.arange(cells))
-        live = np.isfinite(rss)
-        fail(np.flatnonzero(~live), ValueError("model is not finite at the initial parameters"))
-        for it in range(1, max_iterations + 1):
-            rows = np.flatnonzero(live)
-            if rows.size == 0:
+        finite = np.isfinite(rss)
+        fail(np.flatnonzero(~finite), "model is not finite at the initial parameters", ValueError)
+        # q, f, lam, ...: the point, residual, damping, ... of each cell in ``rows``
+        rows = np.flatnonzero(finite) if max_iterations > 0 else np.arange(0)
+        q, f, lam = p[rows], rss[rows], np.full(rows.size, 1e-3)
+        finite_seen, leave = np.zeros((2, rows.size), bool)
+        grad, jtj, damping = np.empty((rows.size, n_par)), *np.empty((2, rows.size, n_par, n_par))
+        at, r, jac = np.arange(rows.size), r[rows], jac[:, rows].transpose(1, 2, 0)
+        while True:
+            if at.size:  # the rows ``at`` start an iteration
+                cell = rows[at]
+                iterations[cell] += 1
+                ok = np.isfinite(jac).all(axis=(1, 2))
+                if not ok.all():
+                    fail(cell[~ok], "Jacobian is not finite")
+                g = np.einsum("cpk,cp->ck", jac, r)
+                jtj[at] = normal = np.einsum("cpk,cpl->ckl", jac, jac)
+                diag = np.diagonal(normal, axis1=1, axis2=2)
+                col_norms = np.sqrt(diag)
+                active = col_norms > 0.0
+                blind = ~active.any(axis=1)
+                insensitive = ok & blind & (iterations[cell] == 1)  # at the start point only
+                if insensitive.any():
+                    fail(cell[insensitive], "model is insensitive to every parameter")
+                    ok &= ~insensitive
+                # an exact fit, a model that progress has flattened, or a scale-free
+                # gradient (cosine between residual and columns) below GTOL
+                r_norm = np.sqrt(f[at])
+                cosine = np.where(active, np.abs(g) / (col_norms * r_norm[:, None]), 0.0)
+                done = ok & ((r_norm == 0.0) | blind | (cosine.max(axis=1) < GTOL))
+                converged[cell], leave[at], grad[at], finite_seen[at] = done, done | ~ok, g, False
+                # a parameter the model is momentarily blind to (zero column, e.g. a
+                # splitting at exactly zero) is frozen by full damping, not failed
+                damping[at] = eye * np.where(diag > 0.0, diag, diag.max(1, keepdims=True))[:, None]
+            if leave.any():  # report the rows that stop, and drop them
+                p[rows[leave]], rss[rows[leave]], stay = q[leave], f[leave], ~leave
+                rows, q, f, lam, finite_seen, grad, jtj, damping = (a[stay] for a in (
+                    rows, q, f, lam, finite_seen, grad, jtj, damping))
+            if not rows.size:
                 break
-            iterations[rows] = it
-            jac_rows = jac[:, rows].transpose(1, 2, 0)
-            ok = np.isfinite(jac_rows).all(axis=(1, 2))
-            fail(rows[~ok], SingularJacobian("Jacobian is not finite"))
-            grad = np.einsum("cpk,cp->ck", jac_rows, r[rows])
-            col_norms = np.sqrt(np.einsum("cpk,cpk->ck", jac_rows, jac_rows))
-            active = col_norms > 0.0
-            blind = ~active.any(axis=1)
-            if it == 1:
-                fail(rows[ok & blind], SingularJacobian("model is insensitive to every parameter"))
-                ok &= ~blind
-            # an exact fit, a model that progress has flattened, or a scale-free
-            # gradient (cosine between residual and columns) below GTOL
-            r_norm = np.sqrt(rss[rows])
-            cosine = np.where(active, np.abs(grad) / (col_norms * r_norm[:, None]), 0.0).max(axis=1)
-            done = ok & ((r_norm == 0.0) | blind | (cosine < GTOL))
-            converged[rows[done]], live[rows[done]] = True, False
-            rows, jac_rows, grad = rows[ok & ~done], jac_rows[ok & ~done], grad[ok & ~done]
-            jtj = np.einsum("cpk,cpl->ckl", jac_rows, jac_rows)
-            diag = np.diagonal(jtj, axis1=1, axis2=2)
-            # a parameter the model is momentarily blind to (zero column, e.g. a
-            # splitting at exactly zero) is frozen by full damping, not failed
-            damping = eye * np.where(diag > 0.0, diag, diag.max(axis=1, keepdims=True))[:, None]
-            accepted, saw_finite_trial = np.zeros((2, rows.size), dtype=bool)
-            trying = lam[rows] < 1e15
-            while trying.any():
-                t = np.flatnonzero(trying)
-                at = rows[t]
-                step, singular = _solve(jtj[t] + lam[at, None, None] * damping[t], grad[t])
-                fail(at[singular], SingularJacobian("normal equations are singular"))
-                p_try = p[at] + step
-                r_try, rss_try, jac_try = evaluate(p_try, at)
-                saw_finite_trial[t] |= np.isfinite(rss_try)
-                better = rss_try < rss[at]
-                won, rss_won = at[better], rss_try[better]
-                converged[won] = rss[won] - rss_won <= FTOL * np.maximum(rss_won, 1e-300)
-                p[won], r[won], rss[won] = p_try[better], r_try[better], rss_won
-                jac[:, won] = jac_try[:, better]
-                lam[won] = np.maximum(lam[won] * 0.1, 1e-14)
-                lam[at[~better]] *= 10.0
-                accepted[t[better]] = True
-                trying[t] = ~better & ~singular & (lam[at] < 1e15)
+            step, singular = _solve(jtj + lam[:, None, None] * damping, grad)
+            if singular.any():
+                fail(rows[singular], "normal equations are singular")
+            q_try = q + step
+            r, f_try, jac = evaluate(q_try, rows)
+            finite_seen |= np.isfinite(f_try)
+            better = f_try < f
             # no damping level improves the residual: a numerical stationary
             # point when the landscape stayed finite, a failure otherwise
-            converged[rows[~accepted]] = saw_finite_trial[~accepted]
-            live[rows] &= accepted & ~converged[rows]
+            stop = np.where(better, f - f_try <= FTOL * np.maximum(f_try, 1e-300), finite_seen)
+            converged[rows], q[better], f[better] = stop, q_try[better], f_try[better]
+            lam = np.where(better, np.maximum(lam * 0.1, 1e-14), lam * 10.0)
+            go_on = better & ~stop & (iterations[rows] < max_iterations)
+            leave = (better | (lam >= 1e15) | singular) & ~go_on
+            at, r, jac = np.flatnonzero(go_on), r[go_on], jac[:, go_on].transpose(1, 2, 0)
     return _unstack(data, [errors.get(c) or FitResult(
         {f"p{k}": float(v) for k, v in enumerate(p[c])}, float(rss[c]), len(data), n_par,
         bool(converged[c]), int(iterations[c])) for c in range(cells)])
@@ -239,8 +238,8 @@ def nlls_minimize(model, data: Dataset, init, *,
 # --- the separable core: closed-form linear solves, grid start, polish ---
 
 def _lstsq(basis, y, nonneg=False):
-    """Best coefficients of a ``(cells, columns, points)`` basis of one or two
-    columns for the rows of ``y``, and their curves, in closed form.
+    """Best coefficients of a ``(..., columns, points)`` basis of one or two
+    columns for ``y`` (broadcast with it), and their curves, in closed form.
 
     As ``np.linalg.lstsq(rcond=None)`` on unit-norm columns: the columns can
     differ in scale by many orders of magnitude, a term is dropped where its
@@ -249,13 +248,13 @@ def _lstsq(basis, y, nonneg=False):
     overflowed basis gives a NaN curve, rejected like any non-finite trial.
     ``nonneg`` makes a one-column solve the one-column NNLS.
     """
-    sq = np.einsum("cnp,cnp->cn", basis, basis)
-    if basis.shape[1] == 1:  # the cutoff only drops a zero column; inf gives NaN
-        coef = np.einsum("cnp,cp->cn", basis, y) / np.where(sq > 0.0, sq, np.inf)
+    sq = np.einsum("...np,...np->...n", basis, basis)
+    if basis.shape[-2] == 1:  # the cutoff only drops a zero column; inf gives NaN
+        coef = np.einsum("...np,...p->...n", basis, y) / np.where(sq > 0.0, sq, np.inf)
         coef = np.where(coef < 0.0, 0.0, coef) if nonneg else coef
     else:
         coef = _two_column_solve(basis, y, sq)
-    return coef, np.einsum("cn,cnp->cp", coef, basis)
+    return coef, np.einsum("...n,...np->...p", coef, basis)
 
 
 def _two_column_solve(basis, y, sq):
@@ -272,23 +271,24 @@ def _two_column_solve(basis, y, sq):
     value is at most eps * max(2, points) times that of a + b.
     """
     scale = np.sqrt(np.where(sq > 0.0, sq, 1.0))
-    scale[:, 1] = np.copysign(scale[:, 1], np.einsum("cp,cp->c", basis[:, 0], basis[:, 1]))
+    a, b = basis[..., 0, :], basis[..., 1, :]
+    scale[..., 1] = np.copysign(scale[..., 1], np.einsum("...p,...p->...", a, b))
     # a zero or a non-finite column makes NaN here, replaced or kept below
     with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = basis[:, 0] / scale[:, :1], basis[:, 1] / scale[:, 1:]
+        a, b = a / scale[..., :1], b / scale[..., 1:]
         plus, minus = a + b, a - b
-        pp, mm, cross, py, my = (np.einsum("cp,cp->c", u, v) for u, v in (
+        pp, mm, cross, py, my = (np.einsum("...p,...p->...", u, v) for u, v in (
             (plus, plus), (minus, minus), (plus, minus), (plus, y), (minus, y)))
         g = cross / pp
         mm = mm - g * cross
-        kept = mm > (np.finfo(float).eps * max(basis.shape[1:])) ** 2 * pp
+        kept = mm > (np.finfo(float).eps * max(basis.shape[-2:])) ** 2 * pp
         beta = np.where(kept, (my - g * py) / mm, 0.0)
-        pair = ((py / pp - g * beta)[:, None] + beta[:, None] * _SIGNS) / scale
+        pair = ((py / pp - g * beta)[..., None] + beta[..., None] * _SIGNS) / scale
     return np.where(sq == 0.0, 0.0, pair)
 
 
 def _rss(curve, y):
-    value = np.einsum("cp,cp->c", y - curve, y - curve)
+    value = np.einsum("...p,...p->...", y - curve, y - curve)
     return np.where(np.isfinite(value), value, np.inf)
 
 
@@ -296,26 +296,25 @@ def _separable_fit(data: Dataset, project, starts, signal: str | None = None,
                    flat_ok: bool = False) -> FitResult | FitBatch:
     """Variable-projection fit over the nonlinear parameters ``u``, per cell.
 
-    ``project(u, y)`` maps ``(cells, n_u)`` parameters and ``(cells, points)``
-    data to the named parameters (``u`` mapped to the model's own, and the
-    closed-form linear ones) and the curves.  The polish starts from the first
-    grid start of lowest residual.  A ``signal`` parameter below the
-    low-signal floor flags the fit ``low_signal``, and a start below it is not
-    polished: its curve does not depend on ``u``.  Unless ``flat_ok``, flat
-    data fails.
+    ``project(u, y)`` maps ``(..., n_u)`` parameters and ``(..., points)`` data,
+    broadcast together, to the named parameters (``u`` mapped to the model's
+    own, and the closed-form linear ones) and the curves; grid starts are scored
+    in blocks against all cells, ``project(block[:, None], y)``.  The polish
+    starts from the first grid start of lowest residual.  A ``signal`` parameter
+    below the low-signal floor flags the fit ``low_signal``, and a start below
+    it is not polished: its curve does not depend on ``u``.  Unless ``flat_ok``,
+    flat data fails.
     """
-    y = data.y.reshape(-1, len(data))
+    starts, y = np.array(starts, dtype=float), data.y.reshape(-1, len(data))
     cells = len(y)
-    starts = np.array(starts, dtype=float)
-    u, best = np.repeat(starts[:1], cells, axis=0), np.full(cells, np.inf)
+    pick, best = np.zeros(cells, int), np.full(cells, np.inf)
     per_call = max(1, START_BLOCK // y.size)
     for first in range(0, len(starts), per_call):
-        block = starts[first:first + per_call]
-        tiled = np.tile(y, (len(block), 1))
-        rss = _rss(project(np.repeat(block, cells, axis=0), tiled)[1], tiled).reshape(-1, cells)
+        rss = _rss(project(starts[first:first + per_call, None], y)[1], y)
         low = rss.min(axis=0)
         better = low < best
-        u[better], best[better] = block[rss.argmin(axis=0)[better]], low[better]
+        pick[better], best[better] = first + rss.argmin(axis=0)[better], low[better]
+    u = starts[pick]
     params = project(u, y)[0]
     _check_size(data, len(params))
     flat = np.zeros(cells, bool) if flat_ok else np.max(y, axis=1) - np.min(y, axis=1) <= 0.0
@@ -355,10 +354,10 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
         raise ValueError("coherence rates must be > 0")
 
     def project(u, y):
-        control = _exp(u[:, 0])
-        column = _tprime(data.x, 1.0, control[:, None], gamma_10, gamma_20)
-        amplitude, curve = _lstsq(column[:, None], y, nonneg=True)
-        return {"control": control, "amplitude": amplitude[:, 0]}, curve
+        control = _exp(u[..., 0])
+        column = _tprime(data.x, 1.0, control[..., None], gamma_10, gamma_20)
+        amplitude, curve = _lstsq(column[..., None, :], y, nonneg=True)
+        return {"control": control, "amplitude": amplitude[..., 0]}, curve
 
     controls = list(np.geomspace(0.02, 3.2, 25) * max(gamma_20, -data.x[0], data.x[-1]))
     if control_hint is not None and control_hint > 0:
@@ -380,18 +379,18 @@ def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
     x2 = data.x**2
 
     def project(u, y):
-        mean, split = np.maximum(_exp(u), [0.0, MIN_SPLIT]).T
+        mean, split = _exp(u[..., 0]), np.maximum(_exp(u[..., 1]), MIN_SPLIT)
         gp, gm = mean * np.sqrt(1.0 + split), mean / np.sqrt(1.0 + split)
-        broad, narrow = 1.0 / (x2 + gp[:, None] ** 2), 1.0 / (x2 + gm[:, None] ** 2)
-        ab, curve = _lstsq(np.stack([broad, broad * narrow], axis=1), y)
-        cm = -ab[:, 1] / (gm * split * (gp + gm))
-        cp = ab[:, 0] + cm
+        broad, narrow = 1.0 / (x2 + gp[..., None] ** 2), 1.0 / (x2 + gm[..., None] ** 2)
+        ab, curve = _lstsq(np.stack([broad, broad * narrow], axis=-2), y)
+        cm = -ab[..., 1] / (gm * split * (gp + gm))
+        cp = ab[..., 0] + cm
         edge = ~((cp >= 0.0) & (cm >= 0.0))
         if edge.any():
             # the constrained optimum lies on an edge of the non-negative quadrant
-            (cp_e, on), (cm_e, off) = (_lstsq(column[edge, None], y[edge], nonneg=True)
-                                       for column in (broad, -narrow))
-            wins = _rss(on, y[edge]) <= _rss(off, y[edge])
+            y_e, *columns = (np.broadcast_to(a, curve.shape)[edge] for a in (y, broad, -narrow))
+            (cp_e, on), (cm_e, off) = (_lstsq(c[:, None], y_e, nonneg=True) for c in columns)
+            wins = _rss(on, y_e) <= _rss(off, y_e)
             cp[edge], cm[edge] = np.where(wins, cp_e[:, 0], 0.0), np.where(wins, 0.0, cm_e[:, 0])
             curve[edge] = np.where(wins[:, None], on, off)
         return {"cplus_sq": cp, "cminus_sq": cm, "gamma_plus": gp, "gamma_minus": gm}, curve
@@ -414,10 +413,10 @@ def fit_ats_model(data: Dataset) -> FitResult | FitBatch:
     x = data.x
 
     def project(u, y):
-        gamma, d0 = _exp(u[:, :1]), np.abs(u[:, 1:])
+        gamma, d0 = _exp(u[..., :1]), np.abs(u[..., 1:])
         column = 1.0 / ((x - d0) ** 2 + gamma**2) + 1.0 / ((x + d0) ** 2 + gamma**2)
-        c_sq, curve = _lstsq(column[:, None], y, nonneg=True)
-        return {"c_sq": c_sq[:, 0], "gamma": gamma[:, 0], "delta_0": d0[:, 0]}, curve
+        c_sq, curve = _lstsq(column[..., None, :], y, nonneg=True)
+        return {"c_sq": c_sq[..., 0], "gamma": gamma[..., 0], "delta_0": d0[..., 0]}, curve
 
     span = max(-x[0], x[-1])
     d0, gamma = np.meshgrid(np.linspace(0.0, 0.9 * span, 10),
@@ -440,14 +439,15 @@ def fit_lorentzian(data: Dataset) -> FitResult | FitBatch:
     x = data.x
 
     def project(u, y):
-        peak = lorentzian_curve(x, u[:, :1], _exp(u[:, 1:]), 1.0)
+        peak = lorentzian_curve(x, u[..., :1], _exp(u[..., 1:]), 1.0)
         ones = np.ones_like(peak)
-        coef, curve = _lstsq(np.stack([peak, ones], axis=1), y)
-        flat, flat_curve = _lstsq(ones[:, None], y)
-        negative = coef[:, 0] < 0.0
-        amplitude, offset = np.where(negative, [np.zeros_like(flat[:, 0]), flat[:, 0]], coef.T)
-        return ({"center": u[:, 0], "half_width": _exp(u[:, 1]), "amplitude": amplitude,
-                 "offset": offset}, np.where(negative[:, None], flat_curve, curve))
+        coef, curve = _lstsq(np.stack([peak, ones], axis=-2), y)
+        flat, flat_curve = _lstsq(ones[..., None, :], y)
+        negative = coef[..., 0] < 0.0
+        amplitude = np.where(negative, 0.0, coef[..., 0])
+        offset = np.where(negative, flat[..., 0], coef[..., 1])
+        return ({"center": u[..., 0], "half_width": _exp(u[..., 1]), "amplitude": amplitude,
+                 "offset": offset}, np.where(negative[..., None], flat_curve, curve))
 
     center, hw = np.meshgrid(np.linspace(x[0], x[-1], 41),
                              np.geomspace(float(np.min(np.diff(x))), x[-1] - x[0], 10),
@@ -486,15 +486,15 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     hi = np.log([1e8 * span, 20.0 * span])
 
     def project(u, y):
-        decay, period = np.exp(np.clip(u, lo, hi)).T
-        envelope, arg = np.exp(-t / decay[:, None]), 2.0 * np.pi * t / period[:, None]
-        oscillation = np.stack([envelope * np.cos(arg), -envelope * np.sin(arg)], axis=1)
-        means, y_mean = oscillation.mean(axis=2), y.mean(axis=1)
-        coef, curve = _lstsq(oscillation - means[..., None], y - y_mean[:, None])
-        a_cos, a_sin = coef.T
-        return {"offset": y_mean - np.einsum("cn,cn->c", coef, means),
+        decay, period = (np.exp(np.clip(u[..., k], lo[k], hi[k])) for k in (0, 1))
+        envelope, arg = np.exp(-t / decay[..., None]), 2.0 * np.pi * t / period[..., None]
+        oscillation = np.stack([envelope * np.cos(arg), -envelope * np.sin(arg)], axis=-2)
+        means, y_mean = oscillation.mean(axis=-1), y.mean(axis=-1)
+        coef, curve = _lstsq(oscillation - means[..., None], y - y_mean[..., None])
+        a_cos, a_sin = coef[..., 0], coef[..., 1]
+        return {"offset": y_mean - np.einsum("...n,...n->...", coef, means),
                 "amplitude": np.hypot(a_cos, a_sin), "decay_time": decay, "period": period,
-                "phase": np.arctan2(a_sin, a_cos)}, y_mean[:, None] + curve
+                "phase": np.arctan2(a_sin, a_cos)}, y_mean[..., None] + curve
 
     # a pencil of 12 keeps the SVD small enough to stay single-threaded in BLAS
     pencil = int(np.clip(12, 3, len(t) - 3))

@@ -123,17 +123,29 @@ class TestSimulate:
         for name in ("spectrum.csv", "steady_state.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     def test_non_finite_omega_c_exit_one(self, cfg_file, tmp_path, capsys, value, command):
+        assert self.run_omega_c(cfg_file, tmp_path, command, value) == 1
+        assert capsys.readouterr().err == (
+            f"eitats: error: --omega-c must be finite (got {float(value)})\n")
+
+    @pytest.mark.parametrize("value", ["-3", "-1e-3"])
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_negative_omega_c_exit_one(self, cfg_file, tmp_path, capsys, value, command):
+        # a value with a leading minus is the flag's value, not an option
+        assert self.run_omega_c(cfg_file, tmp_path, command, value) == 1
+        assert capsys.readouterr().err == (
+            f"eitats: error: --omega-c must be >= 0 (got {float(value)})\n")
+
+    @staticmethod
+    def run_omega_c(cfg_file, tmp_path, command, value):
         cfg = cfg_file(BASE_CFG)
         csv = tmp_path / "s.csv"
         write_spectrum_csv(csv, synth_spectrum(1.76 * M, 6.90 * M, 2.06 * M), {})
         extra = ["--model", "exact", "--input", str(csv)] if command == "fit" else []
-        assert run(command, "--config", cfg, "--out", str(tmp_path / "o"), *extra,
-                   "--omega-c", value) == 1
-        assert capsys.readouterr().err == (
-            f"eitats: error: --omega-c must be finite (got {float(value)})\n")
+        return run(command, "--config", cfg, "--out", str(tmp_path / "o"), *extra,
+                   "--omega-c", value)
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "rabi"])
     def test_negative_seed_exit_one(self, cfg_file, tmp_path, capsys, command):
@@ -282,6 +294,18 @@ class TestSweepCommand:
         library = weight_sweep(1.76 * M, 6.90 * M, np.linspace(2.0, 8.0, 13) * M,
                                noise_sigma=0.03, n_seeds=2, base_seed=0)
         assert table[:, 1].tolist() == library.w_eit_mean.tolist()
+
+    def test_grid_column_is_the_configs_values(self, cfg_file, tmp_path):
+        # the config's own MHz values, not a round trip through rad/s, which
+        # would write 14.5 as 14.499999999999998
+        cfg = cfg_file(BASE_CFG + "drive.omega_c_grid = 1.0:20.0:39\n"
+                       "noise.sigma = 0.03\nnoise.seeds = 1\n")
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--out", str(out)) == 0
+        column = [line.split(",")[0] for line in (out / "sweep.csv").read_text().splitlines()
+                  if not line.startswith("#")][1:]
+        assert [float(v) for v in column] == np.linspace(1.0, 20.0, 39).tolist()
+        assert "14.5" in column and "15.5" in column
 
     def test_sweep_determinism(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG + "drive.omega_c_grid = 4.0,6.0\n"

@@ -274,7 +274,7 @@ def test_bounds_and_required_keys_name_the_key(text, key, message):
 
 class TestSpectrumCsv:
     def test_write_read_roundtrip(self, tmp_path):
-        det = np.linspace(-25.0, 25.0, 61) * 2e6 * math.pi
+        det = np.linspace(-25.0, 25.0, 61) * TWO_PI_MHZ
         values = np.exp(-np.linspace(-2, 2, 61) ** 2)
         path = tmp_path / "s.csv"
         write_spectrum_csv(path, Dataset(x=det, y=values), {"seed": "7", "config_hash": "abc"})

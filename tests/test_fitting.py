@@ -84,6 +84,30 @@ class TestMinimizer:
             assert rows.size == 5 * trials
             assert np.array_equal(rows, np.tile(rows[:trials], 5))
 
+    def test_model_calls_follow_the_busiest_cell(self):
+        # cell 0 starts at its optimum and stops there; cells 1 and 2 reject
+        # trials in different iterations.  Every pass gives each iterating cell
+        # one trial and no cell waits for another's damping search, so the
+        # model is called once plus once per trial of the busiest cell
+        x = np.linspace(0.0, 4.0, 30)
+        truth = np.array([[2.0, 0.7], [0.5, 1.5], [1.2, 0.3]])
+        start = np.array([[2.0, 0.7], [3.0, 6.0], [0.2, 3.0]])
+        calls = []
+
+        def model(xv, p, rows):
+            calls.append(rows)
+            return p[:, :1] * np.exp(-p[:, 1:] * xv)
+
+        y = truth[:, :1] * np.exp(-truth[:, 1:] * x)
+        batch = nlls_minimize(model, Dataset(x=x, y=y), start)
+        trials = [sum(cell in rows for rows in calls[1:]) for cell in range(3)]
+        assert batch.converged and trials[0] == 0 and trials[1] != trials[2]
+        assert all(n > fit.iterations for n, fit in zip(trials[1:], batch[1:]))
+        assert len(calls) == 1 + max(trials)
+        for fit, row, p0 in zip(batch, y, start):
+            assert fit == nlls_minimize(lambda xv, p: p[0] * np.exp(-p[1] * xv),
+                                        Dataset(x=x, y=row), p0)
+
     def test_singular_normal_equations_fail_alone(self):
         m = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
         step, singular = _solve(m, np.ones((2, 2)))
@@ -245,6 +269,88 @@ class TestNoFactorizationInTheProjection:
         monkeypatch.setattr(fitting, "_separable_fit", polish)
         fit = fit_damped_sinusoid(Dataset(x=t, y=y))
         assert fit.converged and fit.parameters["period"] == pytest.approx(56.8, rel=1e-8)
+
+
+class _Captured(Exception):
+    pass
+
+
+def family_projection(fit, data):
+    """The ``project`` and grid starts a fit hands to its separable core."""
+    seen = []
+
+    def capture(data, project, starts, *args, **kwargs):
+        seen.append((project, np.asarray(starts, dtype=float)))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "_separable_fit", capture)
+        with pytest.raises(_Captured):
+            fit(data)
+    return seen[0]
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+FAMILIES = {
+    "exact": lambda data: fit_exact_tprime_auto(data, G10, G20),
+    "eit": fit_eit_model,
+    "ats": fit_ats_model,
+    "lorentzian": fit_lorentzian,
+    "damped_sinusoid": fit_damped_sinusoid,
+}
+
+
+class TestBroadcastProjection:
+    """Each family's ``project`` broadcasts over leading axes: a block of
+    starts against a stack, ``project(block[:, None], y)``, gives bit for bit
+    what the tiled (start, cell) rows give, parameters and curves."""
+
+    @staticmethod
+    def stack(family, rng, cells):
+        if family == "damped_sinusoid":
+            t = np.linspace(0.0, 400.0, 201)
+            rows = [damped_sinusoid_curve(t, *rng.uniform((0.0, 0.1, 20.0, 10.0, -3.0),
+                                                          (1.0, 1.0, 2000.0, 300.0, 3.0)))
+                    for _ in range(cells)]
+            return t, np.array(rows) + 0.03 * rng.normal(size=(cells, t.size))
+        # the first cell is a doublet, where difference-form starts meet the
+        # edge of the non-negative quadrant
+        controls = np.r_[20.0, np.exp(rng.uniform(np.log(0.3), np.log(30.0), cells - 1))]
+        return np.linspace(-25.0, 25.0, 61), np.array([
+            noisy_spectrum(c, seed=int(rng.integers(1 << 30))).y for c in controls])
+
+    def check(self, family, block, x, y):
+        project, _ = family_projection(FAMILIES[family], Dataset(x=x, y=y[0]))
+        params, curve = project(block[:, None], y)
+        starts, cells = len(block), len(y)
+        tiled, tiled_curve = project(np.repeat(block, cells, axis=0), np.tile(y, (starts, 1)))
+        assert same_bits(curve.reshape(-1, len(x)), tiled_curve)
+        assert params.keys() == tiled.keys()
+        for key, value in params.items():
+            assert same_bits(np.broadcast_to(value, (starts, cells)).ravel(), tiled[key]), key
+        return params
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 2**32 - 1),
+           cells=st.integers(1, 4), starts=st.integers(1, 7))
+    def test_block_of_starts_equals_tiled_rows(self, family, seed, cells, starts):
+        rng = np.random.default_rng(seed)
+        x, y = self.stack(family, rng, cells)
+        _, grid = family_projection(FAMILIES[family], Dataset(x=x, y=y[0]))
+        block = grid[rng.integers(len(grid), size=starts)]
+        self.check(family, block + rng.normal(0.0, 0.3, block.shape), x, y)
+
+    def test_difference_form_on_the_quadrant_edge(self):
+        rng = np.random.default_rng(11)
+        x, y = self.stack("eit", rng, 3)
+        _, grid = family_projection(fit_eit_model, Dataset(x=x, y=y[0]))
+        params = self.check("eit", grid, x, y)
+        on_edge = (params["cplus_sq"] == 0.0) | (params["cminus_sq"] == 0.0)
+        assert on_edge.any() and not on_edge.all()
 
 
 class TestExactModelFit:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import M
 from eitats.fitting import Dataset, fit_ats_model
 from eitats.lindblad import DriveConfig, ThreeLevelRates, coherence_rho20_analytic
 from eitats.spectra import (
@@ -64,10 +65,10 @@ class TestTprimeExact:
 
     def test_identity_with_analytic_coherence(self, paper_rates):
         # T' equals A * Im(rho_20) identically, not just approximately
-        delta = np.linspace(-25.0, 25.0, 61) * 2e6 * np.pi
+        delta = np.linspace(-25.0, 25.0, 61) * M
         amp = 3.7
         p = ExactModelParams(amplitude=amp, probe=0.01 * paper_rates.coherence_10,
-                             control=2.88 * 2e6 * np.pi,
+                             control=2.88 * M,
                              gamma_10=paper_rates.coherence_10,
                              gamma_20=paper_rates.coherence_20)
         curve = tprime_exact(delta, p)
