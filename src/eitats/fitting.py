@@ -227,7 +227,7 @@ def nlls_minimize(model, data: Dataset, init, *,
             stop = np.where(better, f - f_try <= FTOL * np.maximum(f_try, 1e-300), finite_seen)
             converged[rows], q[better], f[better] = stop, q_try[better], f_try[better]
             lam = np.where(better, np.maximum(lam * 0.1, 1e-14), lam * 10.0)
-            go_on = better & ~stop & (iterations[rows] < max_iterations)
+            go_on = better & ~stop & ~singular & (iterations[rows] < max_iterations)
             leave = (better | (lam >= 1e15) | singular) & ~go_on
             at, r, jac = np.flatnonzero(go_on), r[go_on], jac[:, go_on].transpose(1, 2, 0)
     return _unstack(data, [errors.get(c) or FitResult(

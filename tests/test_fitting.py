@@ -323,8 +323,8 @@ class TestBroadcastProjection:
         return np.linspace(-25.0, 25.0, 61), np.array([
             noisy_spectrum(c, seed=int(rng.integers(1 << 30))).y for c in controls])
 
-    def check(self, family, block, x, y):
-        project, _ = family_projection(FAMILIES[family], Dataset(x=x, y=y[0]))
+    @staticmethod
+    def check(project, block, x, y):
         params, curve = project(block[:, None], y)
         starts, cells = len(block), len(y)
         tiled, tiled_curve = project(np.repeat(block, cells, axis=0), np.tile(y, (starts, 1)))
@@ -340,15 +340,15 @@ class TestBroadcastProjection:
     def test_block_of_starts_equals_tiled_rows(self, family, seed, cells, starts):
         rng = np.random.default_rng(seed)
         x, y = self.stack(family, rng, cells)
-        _, grid = family_projection(FAMILIES[family], Dataset(x=x, y=y[0]))
+        project, grid = family_projection(FAMILIES[family], Dataset(x=x, y=y[0]))
         block = grid[rng.integers(len(grid), size=starts)]
-        self.check(family, block + rng.normal(0.0, 0.3, block.shape), x, y)
+        self.check(project, block + rng.normal(0.0, 0.3, block.shape), x, y)
 
     def test_difference_form_on_the_quadrant_edge(self):
         rng = np.random.default_rng(11)
         x, y = self.stack("eit", rng, 3)
-        _, grid = family_projection(fit_eit_model, Dataset(x=x, y=y[0]))
-        params = self.check("eit", grid, x, y)
+        project, grid = family_projection(fit_eit_model, Dataset(x=x, y=y[0]))
+        params = self.check(project, grid, x, y)
         on_edge = (params["cplus_sq"] == 0.0) | (params["cminus_sq"] == 0.0)
         assert on_edge.any() and not on_edge.all()
 
