@@ -11,8 +11,11 @@ rabi         time-domain excited-population trace (optionally fitted)
 
 File-facing frequencies are MHz (via ``io_utils.TWO_PI_MHZ`` and ``HZ_PER_MHZ``)
 and times ns.  Outputs are written atomically with a provenance header and are
-byte-identical when rerun with the same config and seeds.  Exit codes:
-0 success, 1 validation/config error, 2 numerical failure.
+byte-identical when rerun with the same config and seeds.  Exit codes follow
+the exception type: 0 success; 2 numerical failure, an ``ArithmeticError``
+(every failure class the library defines subclasses it) or
+``np.linalg.LinAlgError``; 1 any other ``ValueError`` (config, flag and input
+errors) or ``OSError`` (an unreadable or unwritable path).
 """
 
 from __future__ import annotations
@@ -27,53 +30,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, ParseError, ValidationError, load_config
-from .fitting import (
-    Dataset,
-    SingularJacobian,
-    fit_ats_model,
-    fit_damped_sinusoid,
-    fit_eit_model,
-    fit_exact_tprime_auto,
-    fit_lorentzian,
-)
+from .config import ExperimentConfig, ValidationError, load_config
+from .fitting import (Dataset, fit_ats_model, fit_damped_sinusoid, fit_eit_model,
+                      fit_exact_tprime_auto, fit_lorentzian)
 from .io_utils import (HZ_PER_MHZ, TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
                        write_json_report, write_spectrum_csv, write_table_csv)
-from .lindblad import (
-    DegenerateDenominator,
-    NoUniqueSteadyState,
-    PoleAtOrigin,
-    TraceDriftError,
-    rabi_trace,
-    steady_state,
-    steady_states,
-)
-from .model_selection import (NoCrossing, NonPositiveResidual, crossing_threshold,
-                              discriminate, weight_sweep)
-from .readout import (DegenerateNormalization, ZeroDetuning, cavity_lorentzian,
-                      composite_transmission, dispersive_shifts, normalized_transmission)
-from .spectra import ComplexRoots, ImaginarySplitting
+from .lindblad import rabi_trace, steady_state, steady_states
+from .model_selection import NoCrossing, crossing_threshold, discriminate, weight_sweep
+from .readout import (cavity_lorentzian, composite_transmission, dispersive_shifts,
+                      normalized_transmission)
 from .synth import add_noise
-from .transmon import (CutoffConvergenceError, circulating_current_coupling, diagonalize,
-                       effective_josephson, selection_rule_sweep)
+from .transmon import (circulating_current_coupling, diagonalize, effective_josephson,
+                       selection_rule_sweep)
 
 NS_PER_S = 1e9
-
-NUMERICAL_ERRORS = (
-    SingularJacobian,
-    NoUniqueSteadyState,
-    PoleAtOrigin,
-    TraceDriftError,
-    CutoffConvergenceError,
-    ComplexRoots,
-    ImaginarySplitting,
-    ZeroDetuning,
-    DegenerateNormalization,
-    DegenerateDenominator,
-    NoCrossing,
-    NonPositiveResidual,
-    np.linalg.LinAlgError,
-)
 
 
 @functools.cache
@@ -235,9 +205,10 @@ def cmd_simulate(args, config: ExperimentConfig) -> int:
             "gamma_21": rates.coherence_21 / TWO_PI_MHZ,
         },
         "drive_mhz": {
-            "omega_c": drive.control / TWO_PI_MHZ,
-            "omega_p": drive.probe / TWO_PI_MHZ,
-            "delta": drive.detuning / TWO_PI_MHZ,
+            "omega_c": config.mhz(config.drive.omega_c) if args.omega_c is None
+            else args.omega_c,
+            "omega_p": config.mhz(config.drive.omega_p),
+            "delta": config.mhz(config.drive.delta),
         },
     }
     write_json_report(out / "steady_state.json", payload, prov)
@@ -405,10 +376,10 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         return _COMMANDS[args.command](args, config)
     # before ValueError: np.linalg.LinAlgError subclasses it
-    except NUMERICAL_ERRORS as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"eitats: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValidationError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"eitats: error: {exc}", file=sys.stderr)
         return 1
 

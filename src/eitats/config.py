@@ -46,11 +46,11 @@ UNIT_SCALES = {"Hz": 1.0, "kHz": 1e3, "MHz": HZ_PER_MHZ, "GHz": 1e9}
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(GHz|MHz|kHz|Hz)?$")
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Config syntax error; message carries the line number."""
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     """Config value or structure violates a constraint; names the key."""
 
     def __init__(self, message: str, key: str | None = None):

@@ -53,7 +53,7 @@ def _exp(u):
     return np.exp(np.minimum(np.maximum(u, -700.0), 700.0))
 
 
-class SingularJacobian(Exception):
+class SingularJacobian(ArithmeticError):
     """Normal equations are singular; the fit cannot proceed."""
 
 

@@ -44,19 +44,19 @@ WEAK_PROBE_WARN_RATIO = 0.1
 TRACE_DRIFT_TOL = 1e-6
 
 
-class NoUniqueSteadyState(Exception):
+class NoUniqueSteadyState(ArithmeticError):
     """The Liouvillian null space is empty or has dimension > 1."""
 
 
-class PoleAtOrigin(Exception):
+class PoleAtOrigin(ArithmeticError):
     """Analytic coherence denominator vanished."""
 
 
-class DegenerateDenominator(Exception):
+class DegenerateDenominator(ArithmeticError):
     """Steady-state population denominator vanished."""
 
 
-class TraceDriftError(Exception):
+class TraceDriftError(ArithmeticError):
     """Trace of a propagated state drifted beyond tolerance."""
 
 

@@ -36,11 +36,11 @@ K_EIT = 4
 K_ATS = 3
 
 
-class NonPositiveResidual(Exception):
+class NonPositiveResidual(ArithmeticError):
     """Residual sum below zero makes the information loss undefined."""
 
 
-class NoCrossing(Exception):
+class NoCrossing(ArithmeticError):
     """The weight curve never crosses one half."""
 
 

@@ -41,11 +41,11 @@ __all__ = [
 DISPERSIVE_VALIDITY_THRESHOLD = 0.1
 
 
-class ZeroDetuning(Exception):
+class ZeroDetuning(ArithmeticError):
     """Atom-cavity detuning vanished; the dispersive expansion is undefined."""
 
 
-class DegenerateNormalization(Exception):
+class DegenerateNormalization(ArithmeticError):
     """T2 and T0 coincide; T' is undefined."""
 
 

@@ -43,11 +43,11 @@ __all__ = [
 ]
 
 
-class ComplexRoots(Exception):
+class ComplexRoots(ArithmeticError):
     """Pole widths are complex: the control drive exceeds the EIT regime."""
 
 
-class ImaginarySplitting(Exception):
+class ImaginarySplitting(ArithmeticError):
     """Doublet splitting is imaginary: the control drive is below the ATS regime."""
 
 

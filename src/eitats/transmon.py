@@ -37,7 +37,7 @@ __all__ = [
 CUTOFF_CONVERGENCE_RTOL = 1e-9
 
 
-class CutoffConvergenceError(Exception):
+class CutoffConvergenceError(ArithmeticError):
     """Charge-basis truncation is too small for converged eigenfrequencies."""
 
 

@@ -123,6 +123,17 @@ class TestSimulate:
         for name in ("spectrum.csv", "steady_state.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_drive_mhz_echoes_the_given_value(self, cfg_file, tmp_path, flag):
+        # 14.5 MHz does not survive a round trip through rad/s
+        cfg = cfg_file(BASE_CFG if flag else
+                       BASE_CFG.replace("drive.omega_c = 2.06", "drive.omega_c = 14.5"))
+        out = tmp_path / "o"
+        assert run("simulate", "--config", cfg, "--out", str(out),
+                   *(["--omega-c", "14.5"] if flag else [])) == 0
+        drive = json.loads((out / "steady_state.json").read_text())["drive_mhz"]
+        assert drive == {"omega_c": 14.5, "omega_p": 0.02, "delta": 0.0}
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     def test_non_finite_omega_c_exit_one(self, cfg_file, tmp_path, capsys, value, command):
@@ -406,9 +417,9 @@ class TestUsageErrors:
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_every_numerical_exception_exits_2(self):
-        # every exception class the package defines, except the two config
-        # errors that exit 1 and the warnings it only issues, is a numerical
-        # failure
+        # main decides the exit code by base type: every exception class the
+        # package defines, except the two config errors that exit 1 and the
+        # warnings it only issues, is a numerical failure
         defined = {
             obj
             for info in pkgutil.iter_modules(eitats.__path__)
@@ -417,9 +428,34 @@ class TestUsageErrors:
             if issubclass(obj, Exception) and not issubclass(obj, Warning)
             and obj.__module__ == f"eitats.{info.name}"
         }
-        defined -= {cli.ParseError, cli.ValidationError}
-        assert len(defined) >= 12
-        assert defined <= set(cli.NUMERICAL_ERRORS)
+        config_errors = {eitats.config.ParseError, eitats.config.ValidationError}
+        assert config_errors <= defined
+        assert len(defined - config_errors) >= 12
+        for cls in config_errors:
+            assert issubclass(cls, ValueError) and not issubclass(cls, ArithmeticError), cls
+        for cls in defined - config_errors:
+            assert issubclass(cls, ArithmeticError), cls
+
+    def test_builtin_arithmetic_error_exits_2(self, cfg_file, tmp_path, capsys, monkeypatch):
+        def divide(args, config):
+            return 1 / 0
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", divide)
+        assert run("simulate", "--config", cfg_file(BASE_CFG),
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            "eitats: numerical failure: ZeroDivisionError:")
+
+    def test_directory_as_config_exits_1(self, tmp_path, capsys):
+        assert run("simulate", "--config", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("eitats: error:")
+
+    def test_out_beneath_a_regular_file_exits_1(self, cfg_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run("simulate", "--config", cfg_file(BASE_CFG),
+                   "--out", str(blocker / "o")) == 1
+        assert capsys.readouterr().err.startswith("eitats: error:")
 
     def test_degenerate_readout_is_numerical_failure(self, cfg_file, tmp_path, capsys):
         # cavity.g1 = 0 passes its >= 0 bound, but leaves T2 = T0
@@ -467,9 +503,27 @@ def test_no_subcommand_imports_scipy(cfg_file, tmp_path):
                    + "cavity.frequency = 8216.90\ncavity.q_loaded = 1000\n"
                    + "cavity.g1 = 173\nrabi.points = 41\n"
                    + "drive.omega_c_grid = 3.0,5.0\nnoise.seeds = 2\n")
-    src = str(Path(eitats.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, cfg, str(tmp_path / "o")],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_env_with_package(), capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _env_with_package():
+    src = str(Path(eitats.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_process_exit_status_without_traceback(cfg_file, tmp_path):
+    # the status the shell sees, for one numerical failure and one bad path
+    degenerate = cfg_file(BASE_CFG + TRANSMON_CFG.replace("units = MHz\n", "")
+                          + "cavity.frequency = 8216.90\ncavity.q_loaded = 1000\n"
+                          + "cavity.g1 = 0\n")
+    for config, status in ((degenerate, 2), (str(tmp_path), 1)):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from eitats.cli import main; sys.exit(main())",
+             "simulate", "--config", config, "--out", str(tmp_path / "o")],
+            env=_env_with_package(), capture_output=True, text=True)
+        assert proc.returncode == status, proc.stderr
+        assert proc.stderr.startswith("eitats: "), proc.stderr
+        assert "Traceback" not in proc.stderr
