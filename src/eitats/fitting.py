@@ -10,7 +10,9 @@ eliminated by centering), non-negative where the model needs it; the best of
 a fixed coarse grid over the nonlinear parameters (plus, for a trace, the
 poles of a matrix pencil) is the start; and :func:`nlls_minimize`
 (Levenberg-Marquardt damped Gauss-Newton with a central-difference Jacobian)
-polishes only the nonlinear parameters, positive ones in log coordinates.
+polishes only the nonlinear parameters, positive ones in log coordinates, until
+the relative offset of Bates & Watts (Technometrics 23, 179 (1981)) puts the
+fit within a thousandth of its own confidence radius.
 
 A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
 one pass: projections broadcast, so grid starts are scored against all cells
@@ -35,7 +37,7 @@ __all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimiz
 
 MAX_ITERATIONS = 500
 FTOL = 1e-12
-GTOL = 1e-10
+RO_TOL = 1e-3
 FD_REL_STEP = 1e-6
 LOW_SIGNAL_FRACTION = 1e-4
 # grid starts are scored this many curve values per ``project`` call at most
@@ -135,14 +137,17 @@ def nlls_minimize(model, data: Dataset, init, *,
     numerically differenced (central) Jacobian.  The start and every trial
     point are evaluated with their own 2n central-difference shifts in one
     model call, so an accepted trial brings the next iteration's Jacobian, bit
-    for bit.  Convergence is declared on a relative residual improvement below
-    ``FTOL``, on a scale-free gradient norm (the largest cosine between the
-    residual and a Jacobian column) below ``GTOL``, or on reaching a point no
-    damped step can improve; hitting ``max_iterations`` instead returns the
-    best point found with ``converged=False``.  A model insensitive to every
-    parameter at the start raises :class:`SingularJacobian`; one that becomes
-    so after accepted steps has reached a stationary point.  Parameters are
-    reported as ``p0, p1, ...``.
+    for bit.  Convergence is declared once the relative offset of Bates & Watts
+    (Technometrics 23, 179 (1981)), sqrt(t/n) / sqrt((f - t)/(N - n)) with
+    t = g^T (J^T J)^-1 g over the n active parameters, is below ``RO_TOL``: no
+    further step can move a parameter by more than that fraction of its
+    confidence radius.  Noiseless fits, where the offset is rounding noise, stop
+    on an exact fit, on a relative residual improvement below ``FTOL``, or on
+    reaching a point no damped step can improve.  Hitting ``max_iterations``
+    returns the best point found with ``converged=False``.  A model
+    insensitive to every parameter at the start raises
+    :class:`SingularJacobian`; one that becomes so after accepted steps has
+    reached a stationary point.  Parameters are reported as ``p0, p1, ...``.
 
     For a stack, ``init`` is ``(cells, n)`` and ``model(x, p, rows)`` gives the
     curves of the cells ``rows`` (which may repeat) at the parameters ``p``.
@@ -193,18 +198,18 @@ def nlls_minimize(model, data: Dataset, init, *,
                 g = np.einsum("cpk,cp->ck", jac, r)
                 jtj[at] = normal = np.einsum("cpk,cpl->ckl", jac, jac)
                 diag = np.diagonal(normal, axis1=1, axis2=2)
-                col_norms = np.sqrt(diag)
-                active = col_norms > 0.0
+                active = diag > 0.0
                 blind = ~active.any(axis=1)
                 insensitive = ok & blind & (iterations[cell] == 1)  # at the start point only
                 if insensitive.any():
                     fail(cell[insensitive], "model is insensitive to every parameter")
                     ok &= ~insensitive
-                # an exact fit, a model that progress has flattened, or a scale-free
-                # gradient (cosine between residual and columns) below GTOL
-                r_norm = np.sqrt(f[at])
-                cosine = np.where(active, np.abs(g) / (col_norms * r_norm[:, None]), 0.0)
-                done = ok & ((r_norm == 0.0) | blind | (cosine.max(axis=1) < GTOL))
+                # an exact fit, a model that progress has flattened, or a relative offset
+                # below RO_TOL over the active columns (a singular block gives NaN: no verdict)
+                t = np.einsum("ck,ck->c", g, _solve(normal + eye * ~active[:, None], g)[0])
+                dof = active.sum(axis=1)
+                offset = np.sqrt(t / dof / ((f[at] - t) / (len(x) - dof)))
+                done = ok & ((f[at] == 0.0) | blind | (offset < RO_TOL))
                 converged[cell], leave[at], grad[at], finite_seen[at] = done, done | ~ok, g, False
                 # a parameter the model is momentarily blind to (zero column, e.g. a
                 # splitting at exactly zero) is frozen by full damping, not failed

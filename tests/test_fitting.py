@@ -60,29 +60,37 @@ class TestMinimizer:
 
     def test_one_model_call_per_trial_solve(self, monkeypatch):
         # the start and every trial point carry their own 2n central-difference
-        # shifts, so no iteration spends a model call on its Jacobian alone
+        # shifts, so no iteration spends a model call on its Jacobian alone.
+        # Each iteration start also solves once, for its relative offset, so
+        # trial solves are counted by their right-hand sides: one per trial
+        # point, plus one per iteration start
         x = np.linspace(0.0, 4.0, 30)
         truth = np.array([[2.0, 0.7], [0.5, 1.5], [1.2, 0.3]])
-        calls, solves = [], []
+        events = []
         solve = fitting._solve
 
         def counted_solve(m, b):
-            solves.append(len(b))
+            events.append(len(b))
             return solve(m, b)
 
         def model(xv, p, rows):
-            calls.append(rows)
+            events.append(rows)
             return p[:, :1] * np.exp(-p[:, 1:] * xv)
 
         monkeypatch.setattr(fitting, "_solve", counted_solve)
         batch = nlls_minimize(model, Dataset(x=x, y=truth[:, :1] * np.exp(-truth[:, 1:] * x)),
                               np.ones((3, 2)))
-        assert batch.converged and len(solves) > batch.iterations
-        assert len(calls) == 1 + len(solves)
-        assert np.array_equal(calls[0], np.tile(np.arange(3), 5))
-        for rows, trials in zip(calls[1:], solves):
-            assert rows.size == 5 * trials
-            assert np.array_equal(rows, np.tile(rows[:trials], 5))
+        calls = [k for k, e in enumerate(events) if isinstance(e, np.ndarray)]
+        assert calls[0] == 0 and np.array_equal(events[0], np.tile(np.arange(3), 5))
+        trials = []
+        for k in calls[1:]:  # each trial call follows the solve of its trial points
+            rows, solved = events[k], events[k - 1]
+            assert isinstance(solved, int) and rows.size == 5 * solved
+            assert np.array_equal(rows, np.tile(rows[:solved], 5))
+            trials.append(solved)
+        right_hand_sides = sum(e for e in events if isinstance(e, int))
+        assert batch.converged and len(trials) > batch.iterations
+        assert right_hand_sides == sum(trials) + sum(fit.iterations for fit in batch)
 
     def test_model_calls_follow_the_busiest_cell(self):
         # cell 0 starts at its optimum and stops there; cells 1 and 2 reject
@@ -610,3 +618,93 @@ class TestFitInvariants:
                     assert all(np.isfinite(v) for v in fit.parameters.values())
                 EitModelParams(**eit.parameters)
                 AtsModelParams(**ats.parameters)
+
+
+SPECTRUM_FAMILIES = ("exact", "eit", "ats", "lorentzian")
+LINEAR_KEYS = {"amplitude", "offset", "cplus_sq", "cminus_sq", "c_sq"}
+
+
+def polished(fit, data, ro_tol=fitting.RO_TOL):
+    """``fit(data)`` with the polish stopping at relative offset ``ro_tol``, and
+    the model, stack and result of each polish it ran."""
+    seen, minimize = [], fitting.nlls_minimize
+
+    def record(model, stack, init, **kwargs):
+        seen.append((model, stack, minimize(model, stack, init, **kwargs)))
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "RO_TOL", ro_tol)
+        patch.setattr(fitting, "nlls_minimize", record)
+        return fit(data), seen
+
+
+def standard_errors(model, stack, row, u, sigma_sq):
+    """sigma * sqrt(diag (J^T J)^-1) of the polished parameters ``u`` of one
+    row, from the central-difference Jacobian the polish uses; a parameter
+    the curve does not depend on has an infinite error."""
+    h = fitting.FD_REL_STEP * np.maximum(np.abs(u), 1.0)
+    shifted = np.concatenate([u + np.diag(h), u - np.diag(h)])
+    curves = model(stack.x, shifted, np.full(2 * u.size, row)).reshape(2, u.size, -1)
+    jac = (curves[0] - curves[1]) / (2.0 * h[:, None])
+    active = np.einsum("kp,kp->k", jac, jac) > 0.0
+    errors = np.full(u.size, np.inf)
+    block = jac[active] @ jac[active].T
+    errors[active] = np.sqrt(sigma_sq * np.diag(np.linalg.inv(block)))
+    return errors
+
+
+class TestRelativeOffsetStop:
+    """The polish stops once its relative offset (Bates & Watts) is below
+    ``RO_TOL``.  Run on to ``FTOL`` instead (``RO_TOL`` = 0), no fit moves a
+    polished parameter by a hundredth of its standard error or lowers its
+    residual by more than 1e-7 of itself."""
+
+    @staticmethod
+    def cases(family):
+        if family == "damped_sinusoid":  # the traces of acceptance test 08
+            t = np.linspace(0.0, 400.0, 801)
+            truth = damped_sinusoid_curve(t, 0.5, -0.5, 130.6, 56.8, 0.0)
+            return [Dataset(x=t, y=truth + np.random.default_rng(seed).normal(
+                0.0, 0.03 * np.max(truth), t.size)) for seed in range(10)]
+        spectra = [noisy_spectrum(control, seed)
+                   for control in (1.0, 2.06, 2.88, 4.0, 5.29, 8.0, 12.0, 19.7)
+                   for seed in range(4)]
+        return [Dataset(x=spectra[0].x, y=[s.y for s in spectra])]
+
+    @pytest.mark.parametrize("family", SPECTRUM_FAMILIES + ("damped_sinusoid",))
+    def test_polish_ends_inside_its_own_error(self, family):
+        polishes = 0
+        for data in self.cases(family):
+            fits, runs = polished(FAMILIES[family], data)
+            reference, reference_runs = polished(FAMILIES[family], data, ro_tol=0.0)
+            for fit, ref in zip(np.atleast_1d(fits), np.atleast_1d(reference)):
+                assert fit.residual_sum <= ref.residual_sum * (1.0 + 1e-7)
+            for (_, _, batch), (model, stack, ref_batch) in zip(runs, reference_runs):
+                for row, (fit, ref) in enumerate(zip(batch, ref_batch)):
+                    u, u_ref = (np.array(list(f.parameters.values())) for f in (fit, ref))
+                    sigma_sq = ref.residual_sum / (len(stack) - np.atleast_1d(reference)[0].n_params)
+                    errors = standard_errors(model, stack, row, u_ref, sigma_sq)
+                    assert np.all(np.abs(u - u_ref) <= 0.01 * errors)
+                    assert fit.iterations <= ref.iterations
+                    polishes += 1
+        assert polishes >= 10
+
+
+class TestScaleInvariance:
+    """The stopping rule has no absolute threshold: scaling a spectrum by a
+    power of two leaves every fit's path bit for bit, and scales its linear
+    parameters and residual exactly."""
+
+    @settings(max_examples=160, deadline=None)
+    @given(family=st.sampled_from(SPECTRUM_FAMILIES), k=st.integers(-20, 20),
+           log_control=st.floats(np.log(0.3), np.log(30.0)), seed=st.integers(0, 2**16))
+    def test_power_of_two_scaling(self, family, k, log_control, seed):
+        data = noisy_spectrum(float(np.exp(log_control)), seed)
+        fit = FAMILIES[family](data)
+        scaled = FAMILIES[family](Dataset(x=data.x, y=np.ldexp(data.y, k)))
+        assert (scaled.iterations, scaled.converged) == (fit.iterations, fit.converged)
+        assert scaled.residual_sum == np.ldexp(fit.residual_sum, 2 * k)
+        for key, value in fit.parameters.items():
+            expected = np.ldexp(value, k) if key in LINEAR_KEYS else value
+            assert scaled.parameters[key] == expected, key
