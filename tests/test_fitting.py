@@ -678,12 +678,13 @@ class TestRelativeOffsetStop:
         for data in self.cases(family):
             fits, runs = polished(FAMILIES[family], data)
             reference, reference_runs = polished(FAMILIES[family], data, ro_tol=0.0)
-            for fit, ref in zip(np.atleast_1d(fits), np.atleast_1d(reference)):
+            fits, reference = (r if isinstance(r, FitBatch) else [r] for r in (fits, reference))
+            for fit, ref in zip(fits, reference):
                 assert fit.residual_sum <= ref.residual_sum * (1.0 + 1e-7)
             for (_, _, batch), (model, stack, ref_batch) in zip(runs, reference_runs):
                 for row, (fit, ref) in enumerate(zip(batch, ref_batch)):
                     u, u_ref = (np.array(list(f.parameters.values())) for f in (fit, ref))
-                    sigma_sq = ref.residual_sum / (len(stack) - np.atleast_1d(reference)[0].n_params)
+                    sigma_sq = ref.residual_sum / (len(stack) - reference[0].n_params)
                     errors = standard_errors(model, stack, row, u_ref, sigma_sq)
                     assert np.all(np.abs(u - u_ref) <= 0.01 * errors)
                     assert fit.iterations <= ref.iterations
