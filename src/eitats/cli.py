@@ -35,7 +35,7 @@ from .fitting import (Dataset, fit_ats_model, fit_damped_sinusoid, fit_eit_model
                       fit_exact_tprime_auto, fit_lorentzian)
 from .io_utils import (HZ_PER_MHZ, TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
                        write_json_report, write_spectrum_csv, write_table_csv)
-from .lindblad import rabi_trace, steady_state, steady_states
+from .lindblad import DriveConfig, ThreeLevelRates, rabi_trace, steady_state, steady_states
 from .model_selection import NoCrossing, crossing_threshold, discriminate, weight_sweep
 from .readout import (cavity_lorentzian, composite_transmission, dispersive_shifts,
                       normalized_transmission)
@@ -98,7 +98,7 @@ def _outdir(args, config: ExperimentConfig) -> Path:
     return out
 
 
-def _control_rad(args, config: ExperimentConfig) -> float | None:
+def _control_rad(args) -> float | None:
     if getattr(args, "omega_c", None) is not None:
         if not math.isfinite(args.omega_c):
             raise ValidationError(f"--omega-c must be finite (got {args.omega_c})", "omega_c")
@@ -117,7 +117,6 @@ def _seed(args, config: ExperimentConfig) -> int:
 
 
 def cmd_transmon(args, config: ExperimentConfig) -> int:
-    config.require("transmon")
     spec = config.transmon_spec()
     sol = diagonalize(spec)
     out = _outdir(args, config)
@@ -152,48 +151,38 @@ def cmd_transmon(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _simulated_tprime(config: ExperimentConfig, control_rad: float | None,
-                      detunings: np.ndarray) -> np.ndarray:
-    """Simulated T' over ``detunings`` (rad/s) from the steady states of the grid."""
-    rates = config.three_level_rates()
-    use_cavity = config.cavity is not None and config.transmon is not None
-    if use_cavity:
-        sol = diagonalize(config.transmon_spec())
-        shifts = dispersive_shifts(config.cavity_spec(), sol.transition_frequency(1, 0),
-                                   sol.transition_frequency(2, 1))
-        cav = config.cavity_spec()
-        readout_freq = cav.frequency + shifts.pull_0
-        levels = (shifts.pull_0, shifts.pull_1, shifts.pull_2)
-        t_levels = [abs(cavity_lorentzian(readout_freq, cav.frequency + pull, cav.kappa))
-                    for pull in levels]
-
-    rho = steady_states(rates, config.drive_config(0.0, control_rad), detunings)
-    if use_cavity:
-        t_mix = composite_transmission(rho, *t_levels)
-        values = normalized_transmission(t_mix, t_levels[0], t_levels[2]).real
-    else:
+def _simulated_tprime(config: ExperimentConfig, rates: ThreeLevelRates,
+                      drive: DriveConfig, detunings: np.ndarray) -> np.ndarray:
+    """Simulated T' over ``detunings`` (rad/s) from the grid's steady states: the cavity
+    readout with ``transmon`` and ``cavity`` blocks, else the peak-normalized coherence."""
+    rho = steady_states(rates, drive, detunings)
+    if config.cavity is None or config.transmon is None:
         values = rho[:, 2, 0].imag
         peak = np.max(np.abs(values))
-        if peak > 0:
-            values = values / peak
-    return values
+        return values / peak if peak > 0 else values
+    cav = config.cavity_spec()
+    sol = diagonalize(config.transmon_spec())
+    shifts = dispersive_shifts(cav, sol.transition_frequency(1, 0), sol.transition_frequency(2, 1))
+    readout_freq = cav.frequency + shifts.pull_0
+    t_levels = [abs(cavity_lorentzian(readout_freq, cav.frequency + pull, cav.kappa))
+                for pull in (shifts.pull_0, shifts.pull_1, shifts.pull_2)]
+    t_mix = composite_transmission(rho, *t_levels)
+    return normalized_transmission(t_mix, t_levels[0], t_levels[2]).real
 
 
 def cmd_simulate(args, config: ExperimentConfig) -> int:
-    config.require("rates", "drive")
-    control_rad = _control_rad(args, config)
+    rates = config.three_level_rates()
     detunings = config.detuning_grid_rad()
+    control_rad = _control_rad(args)
     seed = _seed(args, config)
-    values = add_noise(_simulated_tprime(config, control_rad, detunings),
+    drive = config.drive_config(config.rad(config.drive.delta), control_rad)
+    values = add_noise(_simulated_tprime(config, rates, drive, detunings),
                        config.noise.sigma, seed, 0, 0)
-    spectrum = Dataset(x=detunings, y=values)
 
     out = _outdir(args, config)
     prov = _provenance(config, "simulate", seed if config.noise.sigma > 0 else None)
-    write_spectrum_csv(out / "spectrum.csv", spectrum, prov)
+    write_spectrum_csv(out / "spectrum.csv", Dataset(x=detunings, y=values), prov)
 
-    rates = config.three_level_rates()
-    drive = config.drive_config(config.rad(config.drive.delta), control_rad)
     rho = steady_state(rates, drive)
     payload = {
         "populations": [rho[k, k].real for k in range(3)],
@@ -215,7 +204,7 @@ def cmd_simulate(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _fit_result_payload(result) -> dict:
+def _fit_result_payload(result, model: str) -> dict:
     freq_keys = {"control", "gamma_plus", "gamma_minus", "gamma", "delta_0",
                  "center", "half_width"}
     sq_keys = {"cplus_sq", "cminus_sq", "c_sq"}
@@ -235,6 +224,7 @@ def _fit_result_payload(result) -> dict:
         "converged": result.converged,
         "iterations": result.iterations,
         "warnings": list(result.warnings),
+        "model": model,
     }
 
 
@@ -244,27 +234,22 @@ def cmd_fit(args, config: ExperimentConfig) -> int:
     out = _outdir(args, config)
     prov = _provenance(config, f"fit --model {args.model}", None)
 
+    extra = {}
     if args.model == "exact":
-        config.require("rates")
         rates = config.three_level_rates()
         result = fit_exact_tprime_auto(data, rates.coherence_10, rates.coherence_20,
-                                       control_hint=_control_rad(args, config))
-        payload = _fit_result_payload(result)
+                                       control_hint=_control_rad(args))
     elif args.model in ("eit", "ats"):
         eit_fit, ats_fit = fit_eit_model(data), fit_ats_model(data)
         report = discriminate(data, eit_fit=eit_fit, ats_fit=ats_fit)
-        requested, own_weight = ((eit_fit, report.w_eit) if args.model == "eit"
-                                 else (ats_fit, report.w_ats))
-        payload = _fit_result_payload(requested)
-        payload["model_weight"] = own_weight
-        payload["regime_warning"] = own_weight < 0.5
+        result, own_weight = ((eit_fit, report.w_eit) if args.model == "eit"
+                              else (ats_fit, report.w_ats))
+        extra = {"model_weight": own_weight, "regime_warning": own_weight < 0.5}
     elif args.model == "lorentzian":
         result = fit_lorentzian(data)
-        payload = _fit_result_payload(result)
     else:  # damped_sinusoid on a time trace in ns
         result = fit_damped_sinusoid(data)
-        payload = _fit_result_payload(result)
-    payload["model"] = args.model
+    payload = _fit_result_payload(result, args.model) | extra
     write_json_report(out / f"fit_{args.model}.json", payload, prov)
     return 0
 
@@ -277,7 +262,6 @@ def cmd_discriminate(args, config: ExperimentConfig) -> int:
 
 
 def cmd_sweep(args, config: ExperimentConfig) -> int:
-    config.require("rates", "drive")
     rates = config.three_level_rates()
     grid = config.control_grid_rad()
     seed = _seed(args, config)
@@ -315,7 +299,6 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
 
 
 def cmd_rabi(args, config: ExperimentConfig) -> int:
-    config.require("rates", "drive")
     rates = config.three_level_rates()
     probe = config.drive_config(0.0, 0.0).probe
     if probe <= 0:
@@ -336,8 +319,7 @@ def cmd_rabi(args, config: ExperimentConfig) -> int:
 
     if args.fit:
         result = fit_damped_sinusoid(trace)
-        payload = _fit_result_payload(result)
-        payload["model"] = "damped_sinusoid"
+        payload = _fit_result_payload(result, "damped_sinusoid")
         payload["period_ns"] = result.parameters["period"]
         payload["decay_time_ns"] = result.parameters["decay_time"]
         write_json_report(out / "rabi_fit.json", payload, prov)

@@ -15,7 +15,7 @@ import pytest
 import eitats
 from eitats import cli
 from eitats.cli import main
-from eitats.fitting import fit_ats_model, fit_eit_model
+from eitats.fitting import Dataset, fit_ats_model, fit_eit_model, lorentzian_curve
 from eitats.io_utils import read_spectrum_csv, write_spectrum_csv
 from eitats.model_selection import weight_sweep
 from eitats.synth import synth_spectrum
@@ -82,12 +82,6 @@ class TestSimulate:
         assert doc["schema_version"] == 3
         assert doc["coherence_rates_mhz"]["gamma_10"] == pytest.approx(1.76, rel=1e-9)
         assert sum(doc["populations"]) == pytest.approx(1.0, abs=1e-9)
-
-    def test_missing_rates_block_exit_one(self, cfg_file, tmp_path, capsys):
-        cfg = cfg_file("units = MHz\ndrive.omega_c = 2\ndrive.omega_p = 0.02\n")
-        code = run("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
-        assert code == 1
-        assert "rates" in capsys.readouterr().err
 
     def test_deterministic_bytes_with_noise(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG + "noise.sigma = 0.03\nnoise.seed = 11\n")
@@ -227,6 +221,19 @@ class TestFitCommand:
                    "--out", str(out)) == 0
         doc = json.loads((out / "fit_ats.json").read_text())
         assert doc["regime_warning"] is True
+
+    def test_fit_lorentzian_recovers_the_peak(self, cfg_file, tmp_path):
+        detunings_mhz = np.linspace(-25.0, 25.0, 61)
+        csv = tmp_path / "peak.csv"
+        write_spectrum_csv(csv, Dataset(x=detunings_mhz * M, y=lorentzian_curve(
+            detunings_mhz, 3.0, 4.0, 0.8, 0.1)), {})
+        out = tmp_path / "out"
+        assert run("fit", "--config", cfg_file(BASE_CFG), "--input", str(csv),
+                   "--model", "lorentzian", "--out", str(out)) == 0
+        doc = json.loads((out / "fit_lorentzian.json").read_text())
+        assert doc["parameters"]["center_mhz"] == pytest.approx(3.0, rel=1e-6)
+        assert doc["parameters"]["half_width_mhz"] == pytest.approx(4.0, rel=1e-6)
+        assert doc["converged"] is True
 
     def test_bad_model_flag_exit_one(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG)
@@ -464,6 +471,28 @@ class TestUsageErrors:
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith(
             "eitats: numerical failure: DegenerateNormalization:")
+
+
+@pytest.mark.parametrize("command, block", [
+    (["transmon"], "transmon"),
+    (["simulate"], "rates"),
+    (["simulate"], "drive"),
+    (["fit", "--model", "exact"], "rates"),
+    (["sweep"], "rates"),
+    (["sweep"], "drive"),
+    (["rabi"], "rates"),
+    (["rabi"], "drive"),
+], ids=lambda v: "-".join(t for t in v if t != "--model") if isinstance(v, list) else v)
+def test_missing_block_exit_one(cfg_file, tmp_path, capsys, command, block):
+    # the README config less one block: the accessor that first reads it names it
+    cfg = cfg_file("".join(line + "\n" for line in README_CFG.splitlines()
+                           if not line.startswith(f"{block}.")))
+    csv = tmp_path / "s.csv"
+    write_spectrum_csv(csv, synth_spectrum(1.76 * M, 6.90 * M, 2.06 * M), {})
+    extra = ["--input", str(csv)] if command[0] == "fit" else []
+    assert run(*command, *extra, "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        f"eitats: error: missing required config block '{block}'\n")
 
 
 @pytest.mark.parametrize("rows", [0, 1])

@@ -81,6 +81,10 @@ class TestParsing:
             parse_config_text("units = MHz\nthis is not a key value pair\n")
         assert "line 2" in str(err.value)
 
+    def test_empty_value_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^line 2: empty value for 'noise.seed'$"):
+            parse_config_text("units = MHz\nnoise.seed =\n")
+
     def test_unit_suffix_overrides_file_units(self):
         cfg = parse_config_text(
             "units = MHz\ncavity.frequency = 8.2169GHz\ncavity.q_loaded = 1000\n"
@@ -258,6 +262,11 @@ def _rejections():
     # each element of the grid has the bound of drive.omega_c, checked first
     yield pytest.param(FULL + f"{key} = -3,-1,2\n", key, f"{key} must be >= 0 (got -3.0)",
                        id=f"{key}-negative")
+    yield pytest.param(FULL + f"{key} = 1:2:1\n", key, f"{key} range needs at least 2 points",
+                       id=f"{key}-range")
+    key = "noise.seeds"
+    yield pytest.param(FULL + f"{key} = 2.5\n", key, f"{key} must be an integer (got 2.5)",
+                       id=f"{key}-integer")
     for key in REQUIRED:
         text = "".join(line + "\n" for line in FULL.splitlines()
                        if not line.startswith(f"{key} "))
@@ -292,6 +301,17 @@ class TestSpectrumCsv:
         path.write_text(f"detuning_mhz,tprime\n1,0.5\n{second},0.4\n")
         with pytest.raises(ValueError, match=f"{path}, line 3: first column not increasing"):
             read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("detuning_mhz,tprime\n1,0.5\n2,abc\n", ", line 3: not two numbers: '2,abc'"),
+        ("# seed=1\n# no header\n", ": missing CSV header 'detuning_mhz,tprime'"),
+    ], ids=["not-two-numbers", "comments-only"])
+    def test_rejects_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_spectrum_csv(path)
+        assert str(err.value) == f"{path}{message}"
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -346,6 +366,12 @@ class TestReports:
         assert lines[0] == "# seed=0"
         assert lines[1] == "a,b"
         assert lines[2] == "1,3"
+
+    def test_table_csv_header_column_mismatch(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="^header and column count mismatch$"):
+            write_table_csv(path, ["a", "b"], [np.array([1.0])], {})
+        assert not path.exists()
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "x.csv"

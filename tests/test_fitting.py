@@ -122,6 +122,32 @@ class TestMinimizer:
         assert singular.tolist() == [False, True]
         assert step[0].tolist() == [0.5, 1.0] and np.isnan(step[1]).all()
 
+    def test_insensitive_model_raises(self):
+        x = np.linspace(1.0, 5.0, 20)
+        with pytest.raises(SingularJacobian, match="^model is insensitive to every parameter$"):
+            nlls_minimize(lambda xv, p: np.exp(-xv), Dataset(x=x, y=x), [1.0])
+
+    def test_non_finite_jacobian_raises(self):
+        # finite at p0 = 1, the edge of its domain, but NaN one difference step past it
+        x = np.linspace(1.0, 5.0, 20)
+        with pytest.raises(SingularJacobian, match="^Jacobian is not finite$"):
+            nlls_minimize(lambda xv, p: np.sqrt(1.0 - p[0]) * xv, Dataset(x=x, y=x), [1.0])
+
+    def test_insensitive_cell_fails_alone_in_a_stack(self):
+        x = np.linspace(1.0, 5.0, 20)
+        slopes = np.array([[2.0], [1.0], [0.5]])
+
+        def model(xv, p, rows):  # the middle cell ignores its parameter
+            return np.where((rows == 1)[:, None], np.exp(-xv), p[:, :1] * xv)
+
+        batch = nlls_minimize(model, Dataset(x=x, y=slopes * x), [[1.0], [1.0], [1.0]])
+        assert isinstance(batch[1], SingularJacobian)
+        assert str(batch[1]) == "model is insensitive to every parameter"
+        for k in (0, 2):
+            assert batch[k] == nlls_minimize(lambda xv, p: p[0] * xv,
+                                             Dataset(x=x, y=slopes[k] * x), [1.0])
+            assert batch[k].parameters["p0"] == pytest.approx(slopes[k, 0], rel=1e-10)
+
     def test_max_iterations_returns_best_so_far(self):
         x = np.linspace(-3.0, 3.0, 30)
         y = lorentzian_curve(x, 0.3, 0.8, 2.0, 0.1)
