@@ -99,7 +99,7 @@ def _outdir(args, config: ExperimentConfig) -> Path:
 
 
 def _control_rad(args) -> float | None:
-    if getattr(args, "omega_c", None) is not None:
+    if args.omega_c is not None:
         if not math.isfinite(args.omega_c):
             raise ValidationError(f"--omega-c must be finite (got {args.omega_c})", "omega_c")
         if args.omega_c < 0:
@@ -109,7 +109,7 @@ def _control_rad(args) -> float | None:
 
 
 def _seed(args, config: ExperimentConfig) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if args.seed < 0:
             raise ValidationError(f"--seed must be >= 0 (got {args.seed})", "seed")
         return args.seed

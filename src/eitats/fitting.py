@@ -129,8 +129,7 @@ def _solve(m, b):
         return np.where(singular[:, None], np.nan, step), singular
 
 
-def nlls_minimize(model, data: Dataset, init, *,
-                  max_iterations: int = MAX_ITERATIONS) -> FitResult | FitBatch:
+def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
     """Minimize sum of squared residuals of ``model(x, p)`` against the data.
 
     Levenberg-Marquardt damping on the Gauss-Newton normal equations with a
@@ -143,7 +142,7 @@ def nlls_minimize(model, data: Dataset, init, *,
     further step can move a parameter by more than that fraction of its
     confidence radius.  Noiseless fits, where the offset is rounding noise, stop
     on an exact fit, on a relative residual improvement below ``FTOL``, or on
-    reaching a point no damped step can improve.  Hitting ``max_iterations``
+    reaching a point no damped step can improve.  Hitting ``MAX_ITERATIONS``
     returns the best point found with ``converged=False``.  A model
     insensitive to every parameter at the start raises
     :class:`SingularJacobian`; one that becomes so after accepted steps has
@@ -183,7 +182,7 @@ def nlls_minimize(model, data: Dataset, init, *,
         finite = np.isfinite(rss)
         fail(np.flatnonzero(~finite), "model is not finite at the initial parameters", ValueError)
         # q, f, lam, ...: the point, residual, damping, ... of each cell in ``rows``
-        rows = np.flatnonzero(finite) if max_iterations > 0 else np.arange(0)
+        rows = np.flatnonzero(finite)
         q, f, lam = p[rows], rss[rows], np.full(rows.size, 1e-3)
         finite_seen, leave = np.zeros((2, rows.size), bool)
         grad, jtj, damping = np.empty((rows.size, n_par)), *np.empty((2, rows.size, n_par, n_par))
@@ -232,7 +231,7 @@ def nlls_minimize(model, data: Dataset, init, *,
             stop = np.where(better, f - f_try <= FTOL * np.maximum(f_try, 1e-300), finite_seen)
             converged[rows], q[better], f[better] = stop, q_try[better], f_try[better]
             lam = np.where(better, np.maximum(lam * 0.1, 1e-14), lam * 10.0)
-            go_on = better & ~stop & ~singular & (iterations[rows] < max_iterations)
+            go_on = better & ~stop & ~singular & (iterations[rows] < MAX_ITERATIONS)
             leave = (better | (lam >= 1e15) | singular) & ~go_on
             at, r, jac = np.flatnonzero(go_on), r[go_on], jac[:, go_on].transpose(1, 2, 0)
     return _unstack(data, [errors.get(c) or FitResult(
@@ -297,18 +296,17 @@ def _rss(curve, y):
     return np.where(np.isfinite(value), value, np.inf)
 
 
-def _separable_fit(data: Dataset, project, starts, signal: str | None = None,
-                   flat_ok: bool = False) -> FitResult | FitBatch:
+def _separable_fit(data: Dataset, project, starts) -> FitResult | FitBatch:
     """Variable-projection fit over the nonlinear parameters ``u``, per cell.
 
     ``project(u, y)`` maps ``(..., n_u)`` parameters and ``(..., points)`` data,
     broadcast together, to the named parameters (``u`` mapped to the model's
     own, and the closed-form linear ones) and the curves; grid starts are scored
     in blocks against all cells, ``project(block[:, None], y)``.  The polish
-    starts from the first grid start of lowest residual.  A ``signal`` parameter
-    below the low-signal floor flags the fit ``low_signal``, and a start below
-    it is not polished: its curve does not depend on ``u``.  Unless ``flat_ok``,
-    flat data fails.
+    starts from the first grid start of lowest residual.  An ``amplitude``
+    parameter below the low-signal floor flags the fit ``low_signal``, and a
+    start below it is not polished: its curve does not depend on ``u``.  Flat
+    data fails unless the family has an ``offset`` parameter.
     """
     starts, y = np.array(starts, dtype=float), data.y.reshape(-1, len(data))
     cells = len(y)
@@ -322,11 +320,11 @@ def _separable_fit(data: Dataset, project, starts, signal: str | None = None,
     u = starts[pick]
     params = project(u, y)[0]
     _check_size(data, len(params))
-    flat = np.zeros(cells, bool) if flat_ok else np.max(y, axis=1) - np.min(y, axis=1) <= 0.0
+    flat = ("offset" not in params) & (np.ptp(y, axis=1) <= 0.0)
     errors = dict.fromkeys(np.flatnonzero(flat).tolist(),
                            SingularJacobian("data has zero variance; nothing to fit"))
     floor = LOW_SIGNAL_FRACTION * np.maximum(np.max(np.abs(y), axis=1), 1e-300)
-    converged = flat | (params[signal] < floor if signal else False)
+    converged = flat | (params.get("amplitude", np.inf) < floor)
     iterations, rows = np.zeros(cells, int), np.flatnonzero(~converged)
     if rows.size:
         stack = y[rows]
@@ -339,7 +337,7 @@ def _separable_fit(data: Dataset, project, starts, signal: str | None = None,
                 u[c] = list(fit.parameters.values())
                 converged[c], iterations[c] = fit.converged, fit.iterations
     params, curve = project(u, y)
-    rss, low = _rss(curve, y), (params[signal] < floor if signal else np.zeros(cells, bool))
+    rss, low = _rss(curve, y), params.get("amplitude", np.inf) < floor
     return _unstack(data, [errors.get(c) or FitResult(
         {key: float(v[c]) for key, v in params.items()}, float(rss[c]), len(data), len(params),
         bool(converged[c]), int(iterations[c]), ("low_signal",) if low[c] else ())
@@ -367,7 +365,7 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
     controls = list(np.geomspace(0.02, 3.2, 25) * max(gamma_20, -data.x[0], data.x[-1]))
     if control_hint is not None and control_hint > 0:
         controls.append(control_hint)
-    return _separable_fit(data, project, np.log(controls)[:, None], signal="amplitude")
+    return _separable_fit(data, project, np.log(controls)[:, None])
 
 
 def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
@@ -458,7 +456,7 @@ def fit_lorentzian(data: Dataset) -> FitResult | FitBatch:
                              np.geomspace(float(np.min(np.diff(x))), x[-1] - x[0], 10),
                              indexing="ij")
     starts = np.stack([center.ravel(), np.log(hw.ravel())], axis=1)
-    return _separable_fit(data, project, starts, signal="amplitude", flat_ok=True)
+    return _separable_fit(data, project, starts)
 
 
 def damped_sinusoid_curve(t, offset, amplitude, decay_time, period, phase):
@@ -511,8 +509,7 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
         decay = np.where(np.abs(z) < 1.0, -min_dt / np.log(np.abs(z)), np.inf)
         starts = np.log(np.c_[decay, 2.0 * np.pi * min_dt / np.abs(np.angle(z))])
     coarse = [[np.log(span * d), np.log(span / n)] for d in (0.05, 0.3, 1.0) for n in (0.5, 2, 8)]
-    fit = _separable_fit(data, project, np.r_[np.clip(starts, lo, hi), coarse],
-                         signal="amplitude", flat_ok=True)
+    fit = _separable_fit(data, project, np.r_[np.clip(starts, lo, hi), coarse])
     u = np.log([fit.parameters["decay_time"], fit.parameters["period"]])
     tol = FD_REL_STEP * np.maximum(np.abs([lo, hi]), 1.0)
     if np.any(u <= lo + tol[0]) or np.any(u >= hi - tol[1]):

@@ -130,12 +130,8 @@ def _jsonable(value):
         return {key: _jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(val) for val in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(val) for val in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
+    if isinstance(value, (np.ndarray, np.generic)):  # as Python lists and scalars
+        return _jsonable(value.tolist())
     if isinstance(value, float) and math.isinf(value):
         return "-inf" if value < 0 else "inf"
     return value

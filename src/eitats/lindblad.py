@@ -122,10 +122,6 @@ class DriveConfig:
             raise ValueError("drive strengths must be >= 0")
 
     @property
-    def weak_probe(self) -> bool:
-        return self.control == 0.0 or self.probe <= WEAK_PROBE_WARN_RATIO * self.control
-
-    @property
     def max_rate(self) -> float:
         return max(self.control, self.probe, abs(self.detuning))
 
@@ -312,7 +308,7 @@ def steady_state(rates: ThreeLevelRates, drive: DriveConfig) -> np.ndarray:
 
 
 def _warn_if_strong_probe(drive: DriveConfig):
-    if drive.control > 0 and not drive.weak_probe:
+    if drive.probe > WEAK_PROBE_WARN_RATIO * drive.control > 0:
         warnings.warn(
             f"probe/control = {drive.probe / drive.control:.3g} exceeds the "
             f"weak-probe ratio {WEAK_PROBE_WARN_RATIO}; analytic steady-state "

@@ -135,8 +135,7 @@ def discriminate(data: Dataset, eit_fit: FitResult | None = None,
     eit_fit, ats_fit = eit_fit or fit_eit_model(data), ats_fit or fit_ats_model(data)
     n = len(data)
     i_eit, i_ats = aic(n, eit_fit.residual_sum, K_EIT), aic(n, ats_fit.residual_sum, K_ATS)
-    ibar_eit, ibar_ats = (i / n if not math.isinf(i) else -math.inf for i in (i_eit, i_ats))
-    return AicReport(i_eit, i_ats, ibar_eit, ibar_ats, *akaike_weights(i_eit, i_ats), n,
+    return AicReport(i_eit, i_ats, i_eit / n, i_ats / n, *akaike_weights(i_eit, i_ats), n,
                      eit_fit.residual_sum, ats_fit.residual_sum, eit_fit.converged,
                      ats_fit.converged, eit_fit.iterations, ats_fit.iterations)
 

@@ -83,6 +83,14 @@ class TestSimulate:
         assert doc["coherence_rates_mhz"]["gamma_10"] == pytest.approx(1.76, rel=1e-9)
         assert sum(doc["populations"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_default_detuning_span(self, cfg_file, tmp_path):
+        # without drive.delta_span, drive.delta_points detunings over +/-25 MHz
+        cfg = cfg_file(BASE_CFG.replace("drive.delta_span = 25\n", "")
+                       .replace("drive.delta_points = 61", "drive.delta_points = 11"))
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+        spectrum = read_spectrum_csv(tmp_path / "o" / "spectrum.csv")
+        assert np.allclose(spectrum.x / M, np.linspace(-25.0, 25.0, 11), rtol=1e-14)
+
     def test_deterministic_bytes_with_noise(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG + "noise.sigma = 0.03\nnoise.seed = 11\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -493,6 +501,14 @@ def test_missing_block_exit_one(cfg_file, tmp_path, capsys, command, block):
     assert run(*command, *extra, "--config", cfg, "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == (
         f"eitats: error: missing required config block '{block}'\n")
+
+
+@pytest.mark.parametrize("command, key", [("simulate", "omega_c"), ("sweep", "omega_c_grid")])
+def test_unset_drive_key_is_named(cfg_file, tmp_path, capsys, command, key):
+    cfg = cfg_file("".join(line + "\n" for line in README_CFG.splitlines()
+                           if not line.startswith(f"drive.{key} ")))
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"eitats: error: drive.{key} is not set\n"
 
 
 @pytest.mark.parametrize("rows", [0, 1])

@@ -1,6 +1,6 @@
 import ast
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,11 @@ class TestParsing:
         again = parse_config_text(serialize_config(cfg))
         assert again == cfg
         assert serialize_config(again) == serialize_config(cfg)
+
+    def test_boolean_value_is_not_serialized(self):
+        cfg = parse_config_text(MINIMAL)
+        with pytest.raises(TypeError, match="^no boolean config values$"):
+            serialize_config(replace(cfg, drive=replace(cfg.drive, delta_points=True)))
 
     def test_unknown_key_names_it(self):
         with pytest.raises(ValidationError) as err:
@@ -295,6 +300,13 @@ class TestSpectrumCsv:
         write_spectrum_csv(path2, back, {"seed": "7", "config_hash": "abc"})
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\n# seed=1\n\ndetuning_mhz,tprime\n1,0.5\n\n  \n2,0.4\n\n")
+        back = read_spectrum_csv(path)
+        assert np.array_equal(back.x, np.array([1.0, 2.0]) * TWO_PI_MHZ)
+        assert np.array_equal(back.y, [0.5, 0.4])
+
     @pytest.mark.parametrize("second", ["1", "0.5"])
     def test_rejects_non_increasing_first_column(self, tmp_path, second):
         path = tmp_path / "s.csv"
@@ -350,13 +362,15 @@ class TestReports:
 
         path = tmp_path / "r.json"
         write_json_report(path, {"value": 1.5, "loss": float("-inf"),
-                                 "arr": np.array([1.0, 2.0])},
+                                 "arr": np.array([1.0, 2.0]), "np_loss": np.float64("-inf"),
+                                 "np_inf32": np.float32("inf"), "np_int": np.int64(3)},
                           {"config_hash": "x", "seed": "1"})
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == 3
         assert doc["provenance"]["config_hash"] == "x"
         assert doc["loss"] == "-inf"
         assert doc["arr"] == [1.0, 2.0]
+        assert (doc["np_loss"], doc["np_inf32"], doc["np_int"]) == ("-inf", "inf", 3)
 
     def test_table_csv(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -372,6 +386,12 @@ class TestReports:
         with pytest.raises(ValueError, match="^header and column count mismatch$"):
             write_table_csv(path, ["a", "b"], [np.array([1.0])], {})
         assert not path.exists()
+
+    def test_failed_atomic_write_leaves_no_temp(self, tmp_path):
+        (tmp_path / "x.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_table_csv(tmp_path / "x.csv", ["a"], [np.array([1.0])], {})
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -19,7 +19,7 @@ from eitats.fitting import (
     lorentzian_curve,
     nlls_minimize,
 )
-from eitats.fitting import _lstsq, _solve
+from eitats.fitting import _lstsq, _separable_fit, _solve
 from eitats.spectra import AtsModelParams, EitModelParams, ExactModelParams, tprime_exact
 from eitats.synth import default_detuning_grid, synth_spectrum
 
@@ -148,7 +148,27 @@ class TestMinimizer:
                                              Dataset(x=x, y=slopes[k] * x), [1.0])
             assert batch[k].parameters["p0"] == pytest.approx(slopes[k, 0], rel=1e-10)
 
-    def test_max_iterations_returns_best_so_far(self):
+    def test_failed_polish_fails_alone_in_a_separable_stack(self):
+        x = np.linspace(0.0, 3.0, 20)
+        y = np.array([2.0 * np.exp(-0.7 * x), 1.0 + 0.1 * x, 0.5 * np.exp(-1.9 * x)])
+        starts = np.log([[0.3], [1.0], [3.0]])
+
+        def project(u, data):  # a rising curve is fitted by a constant: no rate to polish
+            rate = np.exp(u[..., 0])
+            rising = (data[..., -1] > data[..., 0])[..., None]
+            column = np.where(rising, 1.0, np.exp(-rate[..., None] * x))
+            scale, curve = _lstsq(column[..., None, :], data)
+            return {"rate": rate, "scale": scale[..., 0]}, curve
+
+        batch = _separable_fit(Dataset(x=x, y=y), project, starts)
+        assert isinstance(batch[1], SingularJacobian)
+        assert str(batch[1]) == "model is insensitive to every parameter"
+        for k, rate in ((0, 0.7), (2, 1.9)):
+            assert batch[k] == _separable_fit(Dataset(x=x, y=y[k]), project, starts)
+            assert batch[k].parameters["rate"] == pytest.approx(rate, rel=1e-8)
+
+    def test_max_iterations_returns_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
         x = np.linspace(-3.0, 3.0, 30)
         y = lorentzian_curve(x, 0.3, 0.8, 2.0, 0.1)
         data = Dataset(x=x, y=y)
@@ -156,8 +176,7 @@ class TestMinimizer:
         def model(xv, p):
             return lorentzian_curve(xv, p[0], np.exp(p[1]), np.exp(p[2]), p[3])
 
-        res = nlls_minimize(model, data, [2.0, np.log(3.0), np.log(0.5), 0.0],
-                            max_iterations=2)
+        res = nlls_minimize(model, data, [2.0, np.log(3.0), np.log(0.5), 0.0])
         assert not res.converged
         assert res.iterations == 2
         assert np.isfinite(res.residual_sum)
@@ -313,7 +332,7 @@ def family_projection(fit, data):
     """The ``project`` and grid starts a fit hands to its separable core."""
     seen = []
 
-    def capture(data, project, starts, *args, **kwargs):
+    def capture(data, project, starts):
         seen.append((project, np.asarray(starts, dtype=float)))
         raise _Captured
 
@@ -434,6 +453,12 @@ class TestExactModelFit:
         res = fit_exact_tprime_auto(noisy_spectrum(0.1, seed=5), G10, G20)
         assert res.converged
         assert np.isfinite(res.parameters["control"])
+
+    @pytest.mark.parametrize("gamma_10, gamma_20", [(0.0, G20), (G10, -1.0)])
+    def test_rates_must_be_positive(self, gamma_10, gamma_20):
+        data = Dataset(*exact_curve(2.0))
+        with pytest.raises(ValueError, match="^coherence rates must be > 0$"):
+            fit_exact_tprime_auto(data, gamma_10, gamma_20)
 
     def test_flat_spectrum_never_silent_success(self):
         delta = np.linspace(-25.0, 25.0, 61)

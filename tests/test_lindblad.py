@@ -57,6 +57,8 @@ class TestRatesAndHamiltonian:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             ThreeLevelRates(relax_10=-1.0, relax_20=0.0, relax_21=0.0)
+        with pytest.raises(ValueError, match="^drive strengths must be >= 0$"):
+            DriveConfig(control=-1.0, probe=0.0)
 
     def test_hamiltonian_zero(self):
         h = rotating_frame_hamiltonian(DriveConfig(control=0.0, probe=0.0))
@@ -182,6 +184,8 @@ class TestEvolve:
             evolve(ket_rho(0), paper_rates, drive, -1.0)
         with pytest.raises(ValueError):
             evolve(ket_rho(0), paper_rates, drive, 1e-6, step=2e-6)
+        with pytest.raises(ValueError, match="^sample_stride must be >= 1$"):
+            evolve(ket_rho(0), paper_rates, drive, 1e-6, sample_stride=0)
 
 
 class TestSteadyState:
@@ -296,6 +300,15 @@ class TestAnalyticPopulations:
         p11, p22 = populations_analytic(paper_rates, drive, rho20.imag)
         assert p11 == pytest.approx(rho[1, 1].real, rel=1e-2)
         assert p22 == pytest.approx(rho[2, 2].real, rel=1e-2)
+
+    @pytest.mark.parametrize("detuning", [0.0, 2.0, -7.0])
+    def test_matches_oracle_without_control(self, paper_rates, detuning):
+        drive = DriveConfig(control=0.0, probe=0.02 * M, detuning=detuning * M)
+        rho = steady_state(paper_rates, drive)
+        rho20 = coherence_rho20_analytic(paper_rates, drive)
+        p11, p22 = populations_analytic(paper_rates, drive, rho20.imag)
+        assert p11 == pytest.approx(rho[1, 1].real, rel=1e-4)
+        assert p22 == pytest.approx(rho[2, 2].real, rel=1e-4)
 
     def test_matches_oracle_across_detunings(self, paper_rates):
         control = 2.88 * M
@@ -454,6 +467,10 @@ class TestValidateDensityMatrix:
         rho[0, 1] = 0.5
         with pytest.raises(ValueError):
             validate_density_matrix(rho)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="^density matrix must be 3x3$"):
+            validate_density_matrix(np.eye(2, dtype=complex) / 2.0)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):

@@ -206,6 +206,11 @@ class TestCrossingThreshold:
         assert res.multiple_crossings
         assert res.threshold < 2.0
 
+    @pytest.mark.parametrize("grid, curve", [([1.0, 2.0, 3.0], [0.9, 0.1]), ([1.0], [0.9])])
+    def test_rejects_mismatched_or_short_arrays(self, grid, curve):
+        with pytest.raises(ValueError, match="^grid and curve must be matching 1-D arrays"):
+            crossing_threshold(np.array(grid), np.array(curve))
+
     def test_no_crossing(self):
         with pytest.raises(NoCrossing):
             crossing_threshold(np.array([1.0, 2.0]), np.array([0.9, 0.8]))

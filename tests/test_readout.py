@@ -36,6 +36,9 @@ class TestCavitySpec:
             CavitySpec(frequency=-1.0, q_loaded=1000.0, g1=1e6)
         with pytest.raises(ValueError):
             CavitySpec(frequency=8e9, q_loaded=0.0, g1=1e6)
+        for g1, g2 in ((-1e6, None), (1e6, -1e6)):
+            with pytest.raises(ValueError, match="^couplings must be >= 0$"):
+                CavitySpec(frequency=8e9, q_loaded=1000.0, g1=g1, g2=g2)
 
 
 class TestDispersiveShifts:

@@ -189,6 +189,9 @@ class TestEitDecomposition:
     def test_outside_window_raises(self):
         with pytest.raises(ComplexRoots):
             eit_decomposition(params(5.29))
+        # at the boundary the poles coincide and the residues diverge
+        with pytest.raises(ComplexRoots, match="^degenerate pole widths"):
+            eit_decomposition(params(0.5 * (G20 - G10)))
 
 
 class TestReducedModels:

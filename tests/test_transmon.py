@@ -150,6 +150,8 @@ class TestDiagonalize:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TransmonSpec(charging_energy=-1.0, junction_energy=1e9)
+        with pytest.raises(ValueError, match="^junction_energy must be >= 0$"):
+            TransmonSpec(charging_energy=E_C, junction_energy=-1.0)
         with pytest.raises(ValueError):
             TransmonSpec(charging_energy=E_C, junction_energy=1e9, charge_cutoff=3)
         with pytest.raises(ValueError):
@@ -178,6 +180,8 @@ class TestSelectionRuleSweep:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             selection_rule_sweep(spec_at(16.99), np.array([-1.0, 2.0]))
+        with pytest.raises(ValueError, match="^ratio_grid must be a non-empty 1-D array$"):
+            selection_rule_sweep(spec_at(16.99), np.array([]))
 
 
 class TestCirculatingCurrentCoupling:
