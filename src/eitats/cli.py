@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, ValidationError, load_config
 from .fitting import (Dataset, fit_ats_model, fit_damped_sinusoid, fit_eit_model,
-                      fit_exact_tprime_auto, fit_lorentzian)
+                      fit_exact_tprime_auto)
 from .io_utils import (HZ_PER_MHZ, TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
                        write_json_report, write_spectrum_csv, write_table_csv)
 from .lindblad import DriveConfig, ThreeLevelRates, rabi_trace, steady_state, steady_states
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="control strength in MHz (overrides config)")
         if model:
             p.add_argument("--model", required=True,
-                           choices=("exact", "eit", "ats", "lorentzian", "damped_sinusoid"))
+                           choices=("exact", "eit", "ats", "damped_sinusoid"))
         if input_csv:
             p.add_argument("--input", required=True, help="spectrum/trace CSV to fit")
 
@@ -205,8 +205,7 @@ def cmd_simulate(args, config: ExperimentConfig) -> int:
 
 
 def _fit_result_payload(result, model: str) -> dict:
-    freq_keys = {"control", "gamma_plus", "gamma_minus", "gamma", "delta_0",
-                 "center", "half_width"}
+    freq_keys = {"control", "gamma_plus", "gamma_minus", "gamma", "delta_0"}
     sq_keys = {"cplus_sq", "cminus_sq", "c_sq"}
     params = {}
     for key, value in result.parameters.items():
@@ -245,8 +244,6 @@ def cmd_fit(args, config: ExperimentConfig) -> int:
         result, own_weight = ((eit_fit, report.w_eit) if args.model == "eit"
                               else (ats_fit, report.w_ats))
         extra = {"model_weight": own_weight, "regime_warning": own_weight < 0.5}
-    elif args.model == "lorentzian":
-        result = fit_lorentzian(data)
     else:  # damped_sinusoid on a time trace in ns
         result = fit_damped_sinusoid(data)
     payload = _fit_result_payload(result, args.model) | extra

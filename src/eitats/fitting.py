@@ -1,8 +1,8 @@
 """Separable least-squares fitting of spectra and time traces, in stacks.
 
 Every model family is linear in its amplitudes and offsets once its one or
-two nonlinear parameters (control strength, widths, center, splitting, decay
-time, period) are fixed.  Each fit is therefore a variable projection (Golub &
+two nonlinear parameters (control strength, widths, splitting, decay time,
+period) are fixed.  Each fit is therefore a variable projection (Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the linear coefficients come
 from a closed-form least-squares solve of one or two columns (two unit
 columns have a closed-form SVD; the damped sinusoid's constant column is
@@ -32,8 +32,8 @@ import numpy as np
 from .spectra import _tprime
 
 __all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimize",
-           "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_lorentzian",
-           "fit_damped_sinusoid", "lorentzian_curve", "damped_sinusoid_curve"]
+           "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_damped_sinusoid",
+           "damped_sinusoid_curve"]
 
 MAX_ITERATIONS = 500
 FTOL = 1e-12
@@ -425,37 +425,6 @@ def fit_ats_model(data: Dataset) -> FitResult | FitBatch:
     d0, gamma = np.meshgrid(np.linspace(0.0, 0.9 * span, 10),
                             np.geomspace(span / 60.0, span, 8), indexing="ij")
     starts = np.stack([np.log(gamma.ravel()), d0.ravel()], axis=1)
-    return _separable_fit(data, project, starts)
-
-
-def lorentzian_curve(x, center, half_width, amplitude, offset=0.0):
-    x = np.asarray(x, dtype=float)
-    return offset + amplitude * half_width**2 / ((x - center) ** 2 + half_width**2)
-
-
-def fit_lorentzian(data: Dataset) -> FitResult | FitBatch:
-    """Peak fit: center, half-width, amplitude (>= 0), plus a constant offset.
-
-    Near-zero fitted amplitude is flagged ``low_signal`` instead of being
-    treated as a successful peak.
-    """
-    x = data.x
-
-    def project(u, y):
-        peak = lorentzian_curve(x, u[..., :1], _exp(u[..., 1:]), 1.0)
-        ones = np.ones_like(peak)
-        coef, curve = _lstsq(np.stack([peak, ones], axis=-2), y)
-        flat, flat_curve = _lstsq(ones[..., None, :], y)
-        negative = coef[..., 0] < 0.0
-        amplitude = np.where(negative, 0.0, coef[..., 0])
-        offset = np.where(negative, flat[..., 0], coef[..., 1])
-        return ({"center": u[..., 0], "half_width": _exp(u[..., 1]), "amplitude": amplitude,
-                 "offset": offset}, np.where(negative[..., None], flat_curve, curve))
-
-    center, hw = np.meshgrid(np.linspace(x[0], x[-1], 41),
-                             np.geomspace(float(np.min(np.diff(x))), x[-1] - x[0], 10),
-                             indexing="ij")
-    starts = np.stack([center.ravel(), np.log(hw.ravel())], axis=1)
     return _separable_fit(data, project, starts)
 
 

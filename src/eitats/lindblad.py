@@ -161,19 +161,6 @@ def _jump_terms(rates: ThreeLevelRates):
                        _proj(0, 0), _proj(1, 1), _proj(2, 2)))
 
 
-def master_equation_rhs(rho: np.ndarray, rates: ThreeLevelRates,
-                        drive: DriveConfig) -> np.ndarray:
-    """Right-hand side of the master equation for one state."""
-    h = rotating_frame_hamiltonian(drive)
-    out = -1j * (h @ rho - rho @ h)
-    for coef, op in _jump_terms(rates):
-        if coef == 0.0:
-            continue
-        opd = op.conj().T
-        out += coef * (2.0 * op @ rho @ opd - opd @ op @ rho - rho @ opd @ op)
-    return out
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two 3x3 matrices (the same products), without its overhead."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(9, 9)
@@ -181,8 +168,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def liouvillian_matrix(rates: ThreeLevelRates, drive: DriveConfig) -> np.ndarray:
     """9x9 superoperator L with L @ vec(rho) = vec(drho/dt) (row-major vec),
-    built as vec(A rho B) = (A kron B^T) vec(rho) term by term in the order
-    :func:`master_equation_rhs` adds them."""
+    built as vec(A rho B) = (A kron B^T) vec(rho) term by term: the
+    commutator, then each jump term in the order of the rates' fields."""
     h = rotating_frame_hamiltonian(drive)
     eye = np.eye(3)
     liou = -1j * (_kron(h, eye) - _kron(eye, h.T))

@@ -112,16 +112,13 @@ def aic(n_points: int, residual_sum: float, n_params: int) -> float:
 def akaike_weights(ibar_eit: float, ibar_ats: float) -> tuple[float, float]:
     """Normalized pair weights exp(-Ibar/2) / sum, numerically stable.
 
-    Works on any common scale (per-point or total losses); -inf sentinels take
-    weight one.  The pair sums to one exactly.
+    Works on any common scale (per-point or total losses).  The lower loss
+    wins: a -inf sentinel takes weight one and a +inf loss weight zero, and two
+    equal infinities split it evenly.  The pair sums to one exactly.
     """
-    if math.isinf(ibar_eit) and math.isinf(ibar_ats):
-        return 0.5, 0.5
-    if math.isinf(ibar_eit):
-        return 1.0, 0.0
-    if math.isinf(ibar_ats):
-        return 0.0, 1.0
     gap = ibar_eit - ibar_ats  # positive favors the second model
+    if math.isnan(gap):  # the same infinity twice
+        return 0.5, 0.5
     half = abs(gap) / 2.0
     big = 1.0 / (1.0 + math.exp(-half)) if half < 745.0 else 1.0
     small = 1.0 - big

@@ -1,9 +1,11 @@
+import argparse
 import importlib
 import inspect
 import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +17,7 @@ import pytest
 import eitats
 from eitats import cli
 from eitats.cli import main
-from eitats.fitting import Dataset, fit_ats_model, fit_eit_model, lorentzian_curve
+from eitats.fitting import fit_ats_model, fit_eit_model
 from eitats.io_utils import read_spectrum_csv, write_spectrum_csv
 from eitats.model_selection import weight_sweep
 from eitats.synth import synth_spectrum
@@ -230,23 +232,19 @@ class TestFitCommand:
         doc = json.loads((out / "fit_ats.json").read_text())
         assert doc["regime_warning"] is True
 
-    def test_fit_lorentzian_recovers_the_peak(self, cfg_file, tmp_path):
-        detunings_mhz = np.linspace(-25.0, 25.0, 61)
-        csv = tmp_path / "peak.csv"
-        write_spectrum_csv(csv, Dataset(x=detunings_mhz * M, y=lorentzian_curve(
-            detunings_mhz, 3.0, 4.0, 0.8, 0.1)), {})
-        out = tmp_path / "out"
-        assert run("fit", "--config", cfg_file(BASE_CFG), "--input", str(csv),
-                   "--model", "lorentzian", "--out", str(out)) == 0
-        doc = json.loads((out / "fit_lorentzian.json").read_text())
-        assert doc["parameters"]["center_mhz"] == pytest.approx(3.0, rel=1e-6)
-        assert doc["parameters"]["half_width_mhz"] == pytest.approx(4.0, rel=1e-6)
-        assert doc["converged"] is True
-
     def test_bad_model_flag_exit_one(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG)
         csv = self.write_synth(tmp_path, 2.06)
         assert run("fit", "--config", cfg, "--input", csv, "--model", "bogus") == 1
+
+    def test_readme_synopsis_lists_the_model_choices(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.findall(r"\[--model ([\w|]+)\]", readme)
+        subcommands = next(action for action in cli._build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        model = next(action for action in subcommands.choices["fit"]._actions
+                     if action.dest == "model")
+        assert [choices.split("|") for choices in listed] == [list(model.choices)]
 
     def test_non_uniform_trace_exit_one(self, cfg_file, tmp_path, capsys):
         times = np.geomspace(1.0, 400.0, 81).tolist()
@@ -515,9 +513,8 @@ def test_unset_drive_key_is_named(cfg_file, tmp_path, capsys, command, key):
 @pytest.mark.parametrize("header, command", [
     ("detuning_mhz,tprime", ["discriminate"]),
     ("detuning_mhz,tprime", ["fit", "--model", "eit"]),
-    ("detuning_mhz,tprime", ["fit", "--model", "lorentzian"]),
     ("time_ns,p22", ["fit", "--model", "damped_sinusoid"]),
-], ids=["discriminate", "fit-eit", "fit-lorentzian", "fit-damped_sinusoid"])
+], ids=["discriminate", "fit-eit", "fit-damped_sinusoid"])
 def test_csv_with_fewer_than_two_rows_is_rejected(cfg_file, tmp_path, capsys, rows,
                                                   header, command):
     csv = tmp_path / "short.csv"

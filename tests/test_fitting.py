@@ -15,8 +15,6 @@ from eitats.fitting import (
     fit_damped_sinusoid,
     fit_eit_model,
     fit_exact_tprime_auto,
-    fit_lorentzian,
-    lorentzian_curve,
     nlls_minimize,
 )
 from eitats.fitting import _lstsq, _separable_fit, _solve
@@ -169,12 +167,15 @@ class TestMinimizer:
 
     def test_max_iterations_returns_best_so_far(self, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+
+        def peak(xv, center, half_width, amplitude, offset):
+            return offset + amplitude * half_width**2 / ((xv - center) ** 2 + half_width**2)
+
         x = np.linspace(-3.0, 3.0, 30)
-        y = lorentzian_curve(x, 0.3, 0.8, 2.0, 0.1)
-        data = Dataset(x=x, y=y)
+        data = Dataset(x=x, y=peak(x, 0.3, 0.8, 2.0, 0.1))
 
         def model(xv, p):
-            return lorentzian_curve(xv, p[0], np.exp(p[1]), np.exp(p[2]), p[3])
+            return peak(xv, p[0], np.exp(p[1]), np.exp(p[2]), p[3])
 
         res = nlls_minimize(model, data, [2.0, np.log(3.0), np.log(0.5), 0.0])
         assert not res.converged
@@ -303,7 +304,7 @@ class TestNoFactorizationInTheProjection:
                         y=[noisy_spectrum(control, seed).y
                            for control in (0.5, 2.88, 9.0) for seed in range(2)])
         self.refuse_factorizations(monkeypatch)
-        for fit in (fit_eit_model, fit_ats_model, fit_lorentzian,
+        for fit in (fit_eit_model, fit_ats_model,
                     lambda data: fit_exact_tprime_auto(data, G10, G20)):
             batch = fit(stack)
             assert len(batch) == 6 and all(isinstance(c, FitResult) for c in batch)
@@ -352,7 +353,6 @@ FAMILIES = {
     "exact": lambda data: fit_exact_tprime_auto(data, G10, G20),
     "eit": fit_eit_model,
     "ats": fit_ats_model,
-    "lorentzian": fit_lorentzian,
     "damped_sinusoid": fit_damped_sinusoid,
 }
 
@@ -413,6 +413,15 @@ class TestExactModelFit:
         # control -> 0 limit: amplitude recovered, curve matched
         assert res.residual_sum < 1e-16
         assert res.parameters["amplitude"] == pytest.approx(2.0, rel=1e-6)
+
+    def test_negated_spectrum_flagged_low_signal(self):
+        # no positive amplitude improves on the zero curve, so no start is polished
+        data = noisy_spectrum(2.06, seed=0)
+        res = fit_exact_tprime_auto(Dataset(x=data.x, y=-data.y), G10, G20)
+        assert res.warnings == ("low_signal",)
+        assert res.parameters["amplitude"] == 0.0
+        assert (res.iterations, res.converged) == (0, True)
+        assert res.residual_sum == pytest.approx(float(data.y @ data.y), rel=1e-12)
 
     def test_recovery_from_doubled_init(self):
         delta, y = exact_curve(5.29)
@@ -522,30 +531,6 @@ class TestReducedModelFits:
             fit_eit_model(data)
         with pytest.raises(SingularJacobian):
             fit_ats_model(data)
-
-
-class TestLorentzianFit:
-    @pytest.mark.parametrize("width", [1.76, 6.90])
-    def test_width_recovery(self, width):
-        x = np.linspace(-30.0, 30.0, 201)
-        y = lorentzian_curve(x, 0.0, width, 1.0, 0.0)
-        res = fit_lorentzian(Dataset(x=x, y=y))
-        assert res.parameters["half_width"] == pytest.approx(width, rel=0.01)
-
-    def test_full_roundtrip_with_offset(self):
-        x = np.linspace(-10.0, 14.0, 141)
-        y = lorentzian_curve(x, 2.5, 1.3, 0.8, 0.25)
-        res = fit_lorentzian(Dataset(x=x, y=y))
-        assert res.parameters["center"] == pytest.approx(2.5, rel=1e-4)
-        assert res.parameters["half_width"] == pytest.approx(1.3, rel=1e-4)
-        assert res.parameters["amplitude"] == pytest.approx(0.8, rel=1e-4)
-        assert res.parameters["offset"] == pytest.approx(0.25, rel=1e-4)
-
-    def test_offset_only_flagged_low_signal(self):
-        x = np.linspace(0.0, 1.0, 50)
-        res = fit_lorentzian(Dataset(x=x, y=np.full(50, 2.0)))
-        assert "low_signal" in res.warnings
-        assert res.parameters["amplitude"] < 1e-3
 
 
 class TestDampedSinusoidFit:
@@ -671,8 +656,8 @@ class TestFitInvariants:
                 AtsModelParams(**ats.parameters)
 
 
-SPECTRUM_FAMILIES = ("exact", "eit", "ats", "lorentzian")
-LINEAR_KEYS = {"amplitude", "offset", "cplus_sq", "cminus_sq", "c_sq"}
+SPECTRUM_FAMILIES = ("exact", "eit", "ats")
+LINEAR_KEYS = {"amplitude", "cplus_sq", "cminus_sq", "c_sq"}
 
 
 def polished(fit, data, ro_tol=fitting.RO_TOL):

@@ -17,7 +17,6 @@ from eitats.lindblad import (
     coherence_rho20_analytic,
     evolve,
     liouvillian_matrix,
-    master_equation_rhs,
     populations_analytic,
     rabi_trace,
     rotating_frame_hamiltonian,
@@ -33,6 +32,26 @@ def ket_rho(level):
     rho = np.zeros((3, 3), dtype=complex)
     rho[level, level] = 1.0
     return rho
+
+
+def master_equation_rhs(rho, rates, drive):
+    """drho/dt written out as matrix products, the oracle ``liouvillian_matrix``
+    is checked against: the commutator, then each jump term D[O] rho =
+    2 O rho O+ - O+ O rho - rho O+ O, downward jumps at half the relaxation
+    rates and level projectors at the dephasing rates."""
+    h = rotating_frame_hamiltonian(drive)
+    out = -1j * (h @ rho - rho @ h)
+    jumps = ((0.5 * rates.relax_10, 0, 1), (0.5 * rates.relax_20, 0, 2),
+             (0.5 * rates.relax_21, 1, 2), (rates.dephase_00, 0, 0),
+             (rates.dephase_11, 1, 1), (rates.dephase_22, 2, 2))
+    for coef, i, j in jumps:
+        if coef == 0.0:
+            continue
+        op = np.zeros((3, 3), dtype=complex)
+        op[i, j] = 1.0
+        opd = op.conj().T
+        out += coef * (2.0 * op @ rho @ opd - opd @ op @ rho - rho @ opd @ op)
+    return out
 
 
 def random_density_matrix(rng):

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eitats import model_selection
-from eitats.fitting import Dataset, SingularJacobian, fit_ats_model, fit_eit_model
+from eitats.fitting import Dataset, FitBatch, SingularJacobian, fit_ats_model, fit_eit_model
 from eitats.model_selection import (
     NoCrossing,
     NonPositiveResidual,
@@ -60,6 +62,20 @@ class TestPerPointWeights:
         assert akaike_weights(1.0, float("-inf")) == (0.0, 1.0)
         assert akaike_weights(float("-inf"), float("-inf")) == (0.5, 0.5)
 
+    def test_infinite_loss_takes_no_weight(self):
+        inf = float("inf")
+        assert akaike_weights(inf, 5.0) == (0.0, 1.0)
+        assert akaike_weights(5.0, inf) == (1.0, 0.0)
+        assert akaike_weights(-inf, inf) == (1.0, 0.0)
+        assert akaike_weights(inf, -inf) == (0.0, 1.0)
+        assert akaike_weights(inf, inf) == (0.5, 0.5)
+
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    def test_any_pair_of_losses_gives_weights(self, a, b):
+        w, v = akaike_weights(a, b)
+        assert 0.0 <= w <= 1.0 and 0.0 <= v <= 1.0
+        assert w + v == 1.0
+
     def test_sum_exactly_one(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -98,6 +114,14 @@ class TestDiscriminate:
         assert report.n_points == 61
         assert report.k_eit == 4 and report.k_ats == 3
         assert report.ibar_eit == pytest.approx(report.i_eit / 61.0, rel=1e-12)
+
+    def test_non_finite_residual_loses(self):
+        # a fit whose curve went non-finite reports a residual sum of +inf
+        s = synth_spectrum(G10, G20, 2.06 * M, noise_sigma=0.03, seed_parts=(0,))
+        eit_fit, ats_fit = fit_eit_model(s), fit_ats_model(s)
+        report = discriminate(s, eit_fit=replace(eit_fit, residual_sum=math.inf),
+                              ats_fit=ats_fit)
+        assert (report.w_eit, report.w_ats) == (0.0, 1.0)
 
 
 class TestWeightSweep:
@@ -171,6 +195,18 @@ class TestBatchedSweep:
             assert (res.r_eit[cell], res.r_ats[cell]) == (eit.residual_sum, ats.residual_sum)
             assert res.iterations[cell] == eit.iterations + ats.iterations
         assert res.converged.all() and not res.n_failed.any()
+
+    def test_other_cell_failure_aborts_the_sweep(self, monkeypatch):
+        original = model_selection.fit_eit_model
+
+        def fit(stack):
+            cells = list(original(stack))
+            cells[4] = ValueError("model is not finite at the initial parameters")
+            return FitBatch(cells)
+
+        monkeypatch.setattr(model_selection, "fit_eit_model", fit)
+        with pytest.raises(ValueError, match="^model is not finite at the initial parameters$"):
+            weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3)
 
     def test_zero_variance_cell_fails_alone(self, monkeypatch):
         reference = weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3)

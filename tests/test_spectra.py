@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import M
 from eitats.fitting import Dataset, fit_ats_model
-from eitats.lindblad import DriveConfig, ThreeLevelRates, coherence_rho20_analytic
+from eitats.lindblad import (
+    DegenerateDenominator,
+    DriveConfig,
+    PoleAtOrigin,
+    ThreeLevelRates,
+    coherence_rho20_analytic,
+    populations_analytic,
+)
 from eitats.spectra import (
     AtsModelParams,
     ComplexRoots,
@@ -221,6 +228,28 @@ class TestReducedModels:
             EitModelParams(cplus_sq=1, cminus_sq=1, gamma_plus=1.0, gamma_minus=2.0)
         with pytest.raises(ValueError):
             AtsModelParams(c_sq=1, gamma=-1.0, delta_0=0.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: populations_analytic(ThreeLevelRates(0.0, 0.0, 0.0, dephase_00=1.0),
+                                  DriveConfig(control=1.0, probe=0.0), 0.0),
+     DegenerateDenominator, "gamma_21 vanished under a control drive"),
+    (lambda: coherence_rho20_analytic(ThreeLevelRates(1.0, 0.0, 0.0),
+                                      DriveConfig(control=0.0, probe=1.0)),
+     PoleAtOrigin, "coherence denominator vanished"),
+    (lambda: params(1.0, amplitude=0.0), ValueError, "amplitude must be > 0"),
+    (lambda: params(1.0, g20=0.0), ValueError, "coherence rates must be > 0"),
+    (lambda: params(-1.0), ValueError, "drive strengths must be >= 0"),
+    (lambda: EitModelParams(cplus_sq=1.0, cminus_sq=-1.0, gamma_plus=2.0, gamma_minus=1.0),
+     ValueError, "squared amplitudes must be >= 0"),
+    (lambda: AtsModelParams(c_sq=1.0, gamma=1.0, delta_0=-1.0),
+     ValueError, "delta_0 must be >= 0"),
+    (lambda: AtsModelParams(c_sq=-1.0, gamma=1.0, delta_0=0.0), ValueError, "c_sq must be >= 0"),
+], ids=["populations-gamma_21", "coherence-pole", "exact-amplitude", "exact-rates",
+        "exact-drive", "eit-amplitudes", "ats-delta_0", "ats-c_sq"])
+def test_guard_raises(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 class TestEitWindow:
