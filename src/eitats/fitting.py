@@ -9,10 +9,10 @@ columns have a closed-form SVD; the damped sinusoid's constant column is
 eliminated by centering), non-negative where the model needs it; the best of
 a fixed coarse grid over the nonlinear parameters (plus, for a trace, the
 poles of a matrix pencil) is the start; and :func:`nlls_minimize`
-(Levenberg-Marquardt damped Gauss-Newton with a central-difference Jacobian)
-polishes only the nonlinear parameters, positive ones in log coordinates, until
-the relative offset of Bates & Watts (Technometrics 23, 179 (1981)) puts the
-fit within a thousandth of its own confidence radius.
+(Levenberg-Marquardt with a central-difference Jacobian and the damping update
+of Nielsen, 1999) polishes only the nonlinear parameters, positive ones in log
+coordinates, until the relative offset of Bates & Watts (Technometrics 23, 179
+(1981)) puts the fit within a thousandth of its own confidence radius.
 
 A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
 one pass: projections broadcast, so grid starts are scored against all cells
@@ -133,20 +133,24 @@ def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
     """Minimize sum of squared residuals of ``model(x, p)`` against the data.
 
     Levenberg-Marquardt damping on the Gauss-Newton normal equations with a
-    numerically differenced (central) Jacobian.  The start and every trial
-    point are evaluated with their own 2n central-difference shifts in one
-    model call, so an accepted trial brings the next iteration's Jacobian, bit
-    for bit.  Convergence is declared once the relative offset of Bates & Watts
-    (Technometrics 23, 179 (1981)), sqrt(t/n) / sqrt((f - t)/(N - n)) with
-    t = g^T (J^T J)^-1 g over the n active parameters, is below ``RO_TOL``: no
-    further step can move a parameter by more than that fraction of its
-    confidence radius.  Noiseless fits, where the offset is rounding noise, stop
-    on an exact fit, on a relative residual improvement below ``FTOL``, or on
-    reaching a point no damped step can improve.  Hitting ``MAX_ITERATIONS``
-    returns the best point found with ``converged=False``.  A model
-    insensitive to every parameter at the start raises
-    :class:`SingularJacobian`; one that becomes so after accepted steps has
-    reached a stationary point.  Parameters are reported as ``p0, p1, ...``.
+    numerically differenced (central) Jacobian.  A rejected trial raises the
+    damping tenfold; an accepted one scales it by max(0.1, 1 - (2 rho - 1)^3),
+    rho its gain ratio of actual to predicted reduction, a non-finite rho
+    counting as full (Nielsen 1999; Madsen, Nielsen & Tingleff 2004).  The
+    start and every trial point are evaluated with their own 2n
+    central-difference shifts in one model call, so an accepted trial brings
+    the next iteration's Jacobian, bit for bit.  Convergence is declared once
+    the relative offset of Bates & Watts (Technometrics 23, 179 (1981)),
+    sqrt(t/n) / sqrt((f - t)/(N - n)) with t = g^T (J^T J)^-1 g over the n
+    active parameters, is below ``RO_TOL``: no further step can move a
+    parameter by more than that fraction of its confidence radius.  Noiseless
+    fits, where the offset is rounding noise, stop on an exact fit, on a
+    relative residual improvement below ``FTOL``, or on reaching a point no
+    damped step can improve.  Hitting ``MAX_ITERATIONS`` returns the best
+    point found with ``converged=False``.  A model insensitive to every
+    parameter at the start raises :class:`SingularJacobian`; one that becomes
+    so after accepted steps has reached a stationary point.  Parameters are
+    reported as ``p0, p1, ...``.
 
     For a stack, ``init`` is ``(cells, n)`` and ``model(x, p, rows)`` gives the
     curves of the cells ``rows`` (which may repeat) at the parameters ``p``.
@@ -229,8 +233,12 @@ def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
             # no damping level improves the residual: a numerical stationary
             # point when the landscape stayed finite, a failure otherwise
             stop = np.where(better, f - f_try <= FTOL * np.maximum(f_try, 1e-300), finite_seen)
+            # the gain ratio rho of an accepted step: lam falls tenfold from rho = 0.98 up
+            gain = (f - f_try) / np.einsum("ck,ck->c", step, grad + lam[:, None] * np.diagonal(
+                damping, axis1=1, axis2=2) * step)
+            cut = np.fmax(0.1, 1.0 - (2.0 * gain - 1.0) ** 3)
             converged[rows], q[better], f[better] = stop, q_try[better], f_try[better]
-            lam = np.where(better, np.maximum(lam * 0.1, 1e-14), lam * 10.0)
+            lam = np.where(better, np.maximum(lam * cut, 1e-14), lam * 10.0)
             go_on = better & ~stop & ~singular & (iterations[rows] < MAX_ITERATIONS)
             leave = (better | (lam >= 1e15) | singular) & ~go_on
             at, r, jac = np.flatnonzero(go_on), r[go_on], jac[:, go_on].transpose(1, 2, 0)

@@ -44,6 +44,8 @@ class TestMinimizer:
         res = nlls_minimize(lambda xv, p: p[0] * xv, data, [0.5])
         assert res.converged
         assert res.parameters["p0"] == pytest.approx(3.7, rel=1e-10)
+        # a linear model's gain ratio is one, so each step cuts the damping tenfold
+        assert res.iterations == 5
 
     def test_stack_is_fitted_row_by_row(self):
         x = np.linspace(1.0, 5.0, 20)
@@ -113,6 +115,22 @@ class TestMinimizer:
         for fit, row, p0 in zip(batch, y, start):
             assert fit == nlls_minimize(lambda xv, p: p[0] * np.exp(-p[1] * xv),
                                         Dataset(x=x, y=row), p0)
+
+    def test_zero_predicted_reduction_counts_as_full_gain(self):
+        # the start's curve is off at x = 0, where the model is blind: the gradient
+        # is zero, and with two identical columns the offset gives no verdict.  The
+        # zero step lowers the residual all the same, an infinite gain ratio, which
+        # cuts the damping as a full gain does; the next iteration is an exact fit
+        x = np.arange(4.0)
+        calls = []
+
+        def model(xv, p):
+            calls.append(p)
+            return (p[0] + p[1]) * xv - 5.0 * (len(calls) == 1) * (xv == 0.0)
+
+        res = nlls_minimize(model, Dataset(x=x, y=2.0 * x), [1.0, 1.0])
+        assert res.converged and res.iterations == 2 and res.residual_sum == 0.0
+        assert res.parameters == {"p0": 1.0, "p1": 1.0}
 
     def test_singular_normal_equations_fail_alone(self):
         m = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])

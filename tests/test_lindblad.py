@@ -24,6 +24,7 @@ from eitats.lindblad import (
     steady_states,
     validate_density_matrix,
 )
+from eitats.synth import add_noise
 
 M = 2.0 * np.pi * 1e6
 
@@ -400,6 +401,17 @@ class TestRabiTrace:
         times = np.linspace(0.0, 8.0 * np.pi / probe, 321)
         trace = rabi_trace(paper_rates, probe, times)
         fit = fit_damped_sinusoid(Dataset(x=times * 1e9, y=trace))
+        assert "at_limit" in fit.warnings
+
+    def test_readme_noise_fit_takes_few_iterations(self, paper_rates):
+        # `rabi --fit --seed 20` on the README config: noise about a flat trace, where
+        # a tenfold damping cut after each poor-gain step zig-zags for tens of passes
+        probe = 0.02 * M
+        times = np.linspace(0.0, 8.0 * np.pi / probe, 321)
+        trace = add_noise(rabi_trace(paper_rates, probe, times), 0.03, 20, 1, 0)
+        fit = fit_damped_sinusoid(Dataset(x=times * 1e9, y=trace))
+        assert fit.converged and fit.iterations <= 20
+        assert fit.residual_sum <= 2.1176034641298546e-11
         assert "at_limit" in fit.warnings
 
     def test_non_uniform_times_match_expm_reference(self, paper_rates):

@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +197,20 @@ class TestBatchedSweep:
             assert (res.r_eit[cell], res.r_ats[cell]) == (eit.residual_sum, ats.residual_sum)
             assert res.iterations[cell] == eit.iterations + ats.iterations
         assert res.converged.all() and not res.n_failed.any()
+
+    def test_readme_quotes_the_benchmark_iteration_maxima(self):
+        # the acceptance-test sweep (README grid, 25 seeds, base seed 0): the README
+        # sentence on its fits must follow any change to the minimizer
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        quoted = re.search(r"Every fit of the benchmark sweep converges, the difference form in "
+                           r"at most (\d+) iterations and the doublet form in at most (\d+);", readme)
+        assert quoted, "README sentence on the benchmark sweep's iterations not found"
+        spectra = [synth_spectrum(G10, G20, control, noise_sigma=0.03, seed_parts=(0, i, seed))
+                   for i, control in enumerate(self.GRID) for seed in range(25)]
+        stack = Dataset(x=spectra[0].x, y=[s.y for s in spectra])
+        fits = fit_eit_model(stack), fit_ats_model(stack)
+        assert all(batch.converged for batch in fits)
+        assert [batch.iterations for batch in fits] == [int(n) for n in quoted.groups()]
 
     def test_other_cell_failure_aborts_the_sweep(self, monkeypatch):
         original = model_selection.fit_eit_model
