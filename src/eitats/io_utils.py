@@ -23,7 +23,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "HZ_PER_MHZ",
     "TWO_PI_MHZ",
-    "fmt",
     "atomic_write_text",
     "write_spectrum_csv",
     "read_spectrum_csv",
@@ -37,10 +36,7 @@ SCHEMA_VERSION = 3
 HZ_PER_MHZ = 1e6
 TWO_PI_MHZ = 2.0 * math.pi * HZ_PER_MHZ  # rad/s per MHz (omega/2pi convention)
 
-
-def fmt(value: float) -> str:
-    """17-significant-digit decimal form (exact round trip for doubles)."""
-    return f"{float(value):.17g}"
+_FLOAT_FORMAT = "%.17g"  # 17 significant digits: an exact round trip for doubles
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -119,9 +115,8 @@ def write_table_csv(path, header: list[str], columns: list[np.ndarray],
         raise ValueError("header and column count mismatch")
     lines = [f"# {key}={provenance[key]}" for key in sorted(provenance)]
     lines.append(",".join(header))
-    n_rows = len(columns[0])
-    for row in range(n_rows):
-        lines.append(",".join(fmt(col[row]) for col in columns))
+    row_format = ",".join([_FLOAT_FORMAT] * len(columns))
+    lines.extend(row_format % row for row in zip(*(np.asarray(col).tolist() for col in columns)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -18,11 +18,11 @@ same Lindblad algebra).  The rotating frame puts the shared probe/control
 detuning delta on levels 1 and 2 and the two drives on the 2-1 and 2-0 bonds.
 
 Everything is angular frequency (rad/s).  Density matrices are plain complex
-3x3 numpy arrays; the 9x9 Liouvillian acts on their row-major vec, steady
-states are its null vectors (one stacked SVD per detuning grid), and time
-evolution applies the exact propagator exp(L gap), one Pade-13 matrix
-exponential per distinct sample gap, to the vectorized state in both evolve
-and rabi_trace.
+3x3 numpy arrays; the 9x9 Liouvillian, a weighted sum of fixed unit
+superoperators, acts on their row-major vec.  Steady states solve L bordered by
+the trace condition (one stacked inverse per detuning grid), and time evolution
+applies the exact propagator exp(L gap), one Pade-13 matrix exponential per
+distinct sample gap, to the vectorized state in both evolve and rabi_trace.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ TRACE_DRIFT_TOL = 1e-6
 
 
 class NoUniqueSteadyState(ArithmeticError):
-    """The Liouvillian null space is empty or has dimension > 1."""
+    """No dissipation, or the trace-bordered Liouvillian is (near) singular."""
 
 
 class PoleAtOrigin(ArithmeticError):
@@ -134,12 +134,6 @@ class Trajectory:
     states: np.ndarray  # shape (n, 3, 3)
 
 
-def _proj(i: int, j: int) -> np.ndarray:
-    out = np.zeros((3, 3), dtype=complex)
-    out[i, j] = 1.0
-    return out
-
-
 def rotating_frame_hamiltonian(drive: DriveConfig) -> np.ndarray:
     """Qutrit Hamiltonian in the doubly rotating frame (rad/s).
 
@@ -154,30 +148,42 @@ def rotating_frame_hamiltonian(drive: DriveConfig) -> np.ndarray:
     return h
 
 
-def _jump_terms(rates: ThreeLevelRates):
-    coefs = (0.5 * rates.relax_10, 0.5 * rates.relax_20, 0.5 * rates.relax_21,
-             rates.dephase_00, rates.dephase_11, rates.dephase_22)
-    return zip(coefs, (_proj(0, 1), _proj(0, 2), _proj(1, 2),
-                       _proj(0, 0), _proj(1, 1), _proj(2, 2)))
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two 3x3 matrices (the same products), without its overhead."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(9, 9)
 
 
-def liouvillian_matrix(rates: ThreeLevelRates, drive: DriveConfig) -> np.ndarray:
-    """9x9 superoperator L with L @ vec(rho) = vec(drho/dt) (row-major vec),
-    built as vec(A rho B) = (A kron B^T) vec(rho) term by term: the
-    commutator, then each jump term in the order of the rates' fields."""
-    h = rotating_frame_hamiltonian(drive)
+def _unit_superoperators() -> np.ndarray:
+    """-i[H, .] for unit detuning, control and probe, then D[O] for the jump
+    operators |0><1|, |0><2|, |1><2|, |0><0|, |1><1|, |2><2|, via
+    vec(A rho B) = (A kron B^T) vec(rho); shape (9, 9, 9)."""
     eye = np.eye(3)
-    liou = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    for coef, op in _jump_terms(rates):
-        if coef == 0.0:
-            continue
-        opd_op = op.conj().T @ op
-        liou += coef * (2.0 * _kron(op, op.conj()) - _kron(opd_op, eye) - _kron(eye, opd_op.T))
+    units = []
+    for unit_drive in (DriveConfig(0.0, 0.0, 1.0), DriveConfig(1.0, 0.0), DriveConfig(0.0, 1.0)):
+        h = rotating_frame_hamiltonian(unit_drive)
+        units.append(-1j * (_kron(h, eye) - _kron(eye, h.T)))
+    for i, j in ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2)):
+        op, opd_op = np.zeros((2, 3, 3), dtype=complex)  # O = |i><j|, O+ O = |j><j|
+        op[i, j] = opd_op[j, j] = 1.0
+        units.append(2.0 * _kron(op, op.conj()) - _kron(opd_op, eye) - _kron(eye, opd_op.T))
+    return np.stack(units)
+
+
+_UNITS = _unit_superoperators()
+_TRACE_ROW = np.eye(3).reshape(9)
+_MAX_CONDITION = 1e10  # bordered-Liouvillian 1-norm condition that means no unique steady state
+
+
+def liouvillian_matrix(rates: ThreeLevelRates, drive: DriveConfig) -> np.ndarray:
+    """9x9 superoperator L with L @ vec(rho) = vec(drho/dt) (row-major vec):
+    the fixed unit superoperators weighted by the drive, plus each nonzero
+    jump coefficient times its unit, in the order of the rates' fields."""
+    liou = drive.detuning * _UNITS[0] + drive.control * _UNITS[1] + drive.probe * _UNITS[2]
+    coefs = (0.5 * rates.relax_10, 0.5 * rates.relax_20, 0.5 * rates.relax_21,
+             rates.dephase_00, rates.dephase_11, rates.dephase_22)
+    for coef, unit in zip(coefs, _UNITS[3:]):
+        if coef != 0.0:
+            liou += coef * unit
     return liou
 
 
@@ -190,13 +196,15 @@ _THETA_13 = 5.371920351148152
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring of the degree-13 Pade approximant,
-    which stays accurate where a is defective, as the Liouvillian is at the
-    EIT-ATS boundary; a non-finite a gives a non-finite result."""
-    norm = np.abs(a).sum(axis=0).max()
-    squarings = int(np.ceil(np.log2(norm / _THETA_13))) if _THETA_13 < norm < np.inf else 0
-    a = a / 2.0**squarings
-    b, eye = _PADE_13, np.eye(len(a))
+    """exp of each matrix of a stack (..., n, n) by scaling and squaring of the
+    degree-13 Pade approximant, which stays accurate where a matrix is
+    defective, as the Liouvillian is at the EIT-ATS boundary; a non-finite
+    matrix gives a non-finite result."""
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    scaled = (_THETA_13 < norm) & (norm < np.inf)
+    squarings = np.ceil(np.log2(np.where(scaled, norm, _THETA_13) / _THETA_13)).astype(int)
+    a = a / (2.0**squarings)[..., None, None]
+    b, eye = _PADE_13, np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -205,8 +213,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     out = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        out = out @ out
+    for squaring in range(squarings.max(initial=0)):
+        out = np.where((squaring < squarings)[..., None, None], out @ out, out)
     return out
 
 
@@ -217,7 +225,7 @@ def _propagate(liou: np.ndarray, vec: np.ndarray, times: np.ndarray,
     first sample whose trace drifts beyond ``TRACE_DRIFT_TOL``; a non-finite
     trace counts as drift."""
     distinct, which = np.unique(gaps, return_inverse=True)
-    steps = [_expm(liou * gap) for gap in distinct]
+    steps = _expm(liou * distinct[:, None, None])
     out = np.empty((times.size, 9), dtype=complex)
     for idx, k in enumerate(which):
         vec = out[idx] = steps[k] @ vec
@@ -264,33 +272,33 @@ def evolve(rho0: np.ndarray, rates: ThreeLevelRates, drive: DriveConfig,
 
 def steady_states(rates: ThreeLevelRates, drive: DriveConfig, detunings) -> np.ndarray:
     """Unique trace-one solutions (n, 3, 3) of L[rho] = 0 for ``drive`` at each
-    of ``detunings`` (rad/s) in place of its own, with L(delta) = L(0) +
-    delta L_1 and one stacked SVD; the rank rule is ``scipy.linalg.null_space``
-    at rcond 1e-10, retried at 1e-7 when that leaves no null vector.
+    of ``detunings`` (rad/s) in place of its own.  L conserves the trace, so
+    its row 0, minus the sum of rows 4 and 8, is replaced by vec(I) times L's
+    largest row 1-norm s; rho is column 0 of one stacked inverse, times s (the
+    direct method of Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234
+    (2013)).  A singular or non-finite bordered L, or a 1-norm condition number
+    at or above ``_MAX_CONDITION``, raises :class:`NoUniqueSteadyState`.
     """
     if rates.max_rate == 0.0:
         raise NoUniqueSteadyState("all dissipation rates are zero")
-    liou_0 = liouvillian_matrix(rates, replace(drive, detuning=0.0))
-    liou_1 = liouvillian_matrix(ThreeLevelRates(0.0, 0.0, 0.0), DriveConfig(0.0, 0.0, 1.0))
     detunings = np.asarray(detunings, dtype=float)[:, None, None]
-    _, sing, vh = np.linalg.svd(liou_0 + detunings * liou_1)
-    null_dim = np.sum(sing <= 1e-10 * sing[:, :1], axis=1)
-    # borderline numerical rank; retry with a looser cutoff before failing
-    null_dim = np.where(null_dim == 0, np.sum(sing <= 1e-7 * sing[:, :1], axis=1), null_dim)
-    if np.any(null_dim == 0):
-        raise NoUniqueSteadyState("Liouvillian has numerically empty null space")
-    if np.any(null_dim > 1):
-        raise NoUniqueSteadyState(f"Liouvillian null space has dimension {null_dim.max()}")
-    rho = vh[:, -1].conj().reshape(-1, 3, 3)
-    tr = np.trace(rho, axis1=1, axis2=2)
-    if np.any(np.abs(tr) < 1e-12):
-        raise NoUniqueSteadyState("null vector is traceless")
-    rho = rho / tr[:, None, None]
+    bordered = liouvillian_matrix(rates, replace(drive, detuning=0.0)) + detunings * _UNITS[0]
+    scale = np.abs(bordered).sum(axis=2).max(axis=1)
+    bordered[:, 0] = scale[:, None] * _TRACE_ROW
+    try:
+        inverse = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        raise NoUniqueSteadyState("bordered Liouvillian is singular") from None
+    cond = np.abs(bordered).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
+    if not np.all(cond < _MAX_CONDITION):
+        raise NoUniqueSteadyState(
+            f"bordered Liouvillian has 1-norm condition number {np.max(cond):.2e}")
+    rho = (inverse[:, :, 0] * scale[:, None]).reshape(-1, 3, 3)
     return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
 
 
 def steady_state(rates: ThreeLevelRates, drive: DriveConfig) -> np.ndarray:
-    """Unique trace-one solution of L[rho] = 0 via null-space extraction."""
+    """Unique trace-one solution of L[rho] = 0 at the drive's own detuning."""
     return steady_states(rates, drive, [drive.detuning])[0]
 
 

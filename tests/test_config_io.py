@@ -381,6 +381,19 @@ class TestReports:
         assert lines[1] == "a,b"
         assert lines[2] == "1,3"
 
+    def test_table_csv_matches_per_element_oracle(self, tmp_path):
+        # the writer's bytes against a per-value loop over numpy indexing and
+        # the f-string form of 17 significant digits
+        rng = np.random.default_rng(24)
+        wide = rng.normal(size=321) * 10.0 ** rng.integers(-300, 300, size=321)
+        wide[:5] = (-0.0, np.inf, -np.inf, np.nan, 5e-324)
+        columns = [wide, rng.random(321), np.arange(-160, 161), list(rng.random(321))]
+        write_table_csv(tmp_path / "t.csv", ["a", "b", "n", "l"], columns, {"seed": "7"})
+        lines = ["# seed=7", "a,b,n,l"]
+        for row in range(321):
+            lines.append(",".join(f"{float(col[row]):.17g}" for col in columns))
+        assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_table_csv_header_column_mismatch(self, tmp_path):
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError, match="^header and column count mismatch$"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -263,6 +265,71 @@ class TestSteadyState:
             assert np.max(np.abs(rho - 0.5 * (ref + ref.conj().T))) < 1e-12
         assert np.array_equal(batch[30], steady_state(paper_rates, drive))
 
+    @settings(max_examples=60, deadline=None)
+    @given(relax=st.lists(st.floats(0.2, 20.0), min_size=3, max_size=3),
+           dephase=st.one_of(st.just([0.0, 0.0, 0.0]),
+                             st.lists(st.floats(0.2, 20.0), min_size=3, max_size=3)),
+           control=st.floats(0.0, 20.0), probe=st.floats(0.0, 20.0),
+           detunings=st.lists(st.floats(-25.0, 25.0), min_size=1, max_size=6))
+    def test_stack_matches_null_space_over_random_rates(self, relax, dephase, control, probe,
+                                                        detunings):
+        rates = ThreeLevelRates(*(M * rate for rate in relax + dephase))
+        drive = DriveConfig(control=control * M, probe=probe * M)
+        detunings = np.array(detunings) * M
+        batch = steady_states(rates, drive, detunings)
+        for det, rho in zip(detunings, batch):
+            alone = replace(drive, detuning=det)
+            assert np.array_equal(rho, steady_state(rates, alone))
+            kernel = null_space(liouvillian_matrix(rates, alone), rcond=1e-10)
+            assert kernel.shape[1] == 1
+            ref = kernel[:, 0].reshape(3, 3) / np.trace(kernel[:, 0].reshape(3, 3))
+            assert np.max(np.abs(rho - 0.5 * (ref + ref.conj().T))) < 1e-12
+
+    @pytest.mark.parametrize("control", [2.06, 5.29, 19.7])
+    def test_excited_block_matches_extended_precision(self, paper_rates, control):
+        # the small excited-state block the cavity readout subtracts, against a
+        # 40-digit solve of the same float64 Liouvillian with its row 8 (not the
+        # row steady_states replaces) swapped for the trace condition
+        mpmath = pytest.importorskip("mpmath")
+        detunings = np.linspace(-25.0, 25.0, 61) * M
+        drive = DriveConfig(control=control * M, probe=0.02 * M)
+        batch = steady_states(paper_rates, drive, detunings)
+        with mpmath.workdps(40):
+            for det, rho in zip(detunings, batch):
+                liou = liouvillian_matrix(paper_rates, replace(drive, detuning=det))
+                # trace conservation holds exactly in float64, so the 40-digit
+                # solution is the float64 Liouvillian's own null vector
+                assert not np.any(liou[0] + liou[4] + liou[8])
+                system = mpmath.matrix(liou.tolist())
+                for col in range(9):
+                    system[8, col] = 1 if col in (0, 4, 8) else 0
+                ref = mpmath.lu_solve(system, mpmath.matrix([0] * 8 + [1]))
+                block = np.array([complex(ref[k]) for k in (4, 5, 7, 8)])
+                err = np.max(np.abs(rho[1:, 1:].reshape(4) - block))
+                assert err < 1e-14 * np.max(np.abs(block))
+
+    def test_no_svd(self, paper_rates, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix decomposition inside steady_states")
+
+        for name in ("svd", "lstsq", "pinv", "qr"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        batch = steady_states(paper_rates, DriveConfig(control=2.06 * M, probe=0.02 * M),
+                              np.linspace(-25.0, 25.0, 61) * M)
+        assert batch.shape == (61, 3, 3)
+
+    def test_near_degenerate_relaxation_threshold(self, paper_rates):
+        # undriven, relax_10 -> 0 leaves |0> and |1> both stationary; the bordered
+        # system's condition number, about 4.3e8 rad/s / relax_10 here, reaches
+        # 1e10 at relax_10 = 0.0434 rad/s (1e-9 of the largest rate)
+        undriven = DriveConfig(control=0.0, probe=0.0)
+        for relax_10 in (0.0, 1e-3, 0.04):
+            with pytest.raises(NoUniqueSteadyState):
+                steady_state(replace(paper_rates, relax_10=relax_10), undriven)
+        for relax_10 in (0.05, 1.0, paper_rates.relax_10):
+            rho = steady_state(replace(paper_rates, relax_10=relax_10), undriven)
+            assert np.allclose(rho, ket_rho(0), rtol=0.0, atol=1e-15)
+
     def test_no_dissipation_raises(self):
         rates = ThreeLevelRates(relax_10=0.0, relax_20=0.0, relax_21=0.0)
         with pytest.raises(NoUniqueSteadyState):
@@ -487,6 +554,16 @@ class TestExpm:
 
     def test_zero_matrix(self):
         assert_expm_matches_scipy(np.zeros((9, 9), dtype=complex))
+
+    def test_stack_equals_each_alone(self, paper_rates):
+        # gaps from no squaring to 9 squarings, a zero matrix and a NaN one
+        liou = liouvillian_matrix(paper_rates, DriveConfig(control=2.06 * M, probe=0.02 * M))
+        gaps = np.array([0.0, 1e-11, 1e-9, 3e-8, 1e-7, 1e-5, np.nan])
+        stack = lindblad._expm(liou * gaps[:, None, None])
+        for gap, step in zip(gaps, stack):
+            assert np.array_equal(step, lindblad._expm(liou * gap), equal_nan=True)
+        assert np.all(np.isnan(stack[-1]))
+        assert_expm_matches_scipy(liou * gaps[1:-1, None, None])
 
 
 class TestValidateDensityMatrix:
