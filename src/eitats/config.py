@@ -6,14 +6,14 @@ and groups keys into blocks: ``transmon`` (energies in frequency units),
 strengths and the detuning grid), ``cavity``, ``noise`` (sigma fraction plus
 seeds), ``output`` and ``rabi``.  Values may carry an explicit Hz/kHz/MHz/GHz
 suffix overriding the file unit.  Unknown keys are errors; syntax problems
-raise :class:`ParseError` with the line number and constraint violations
-raise :class:`ValidationError` naming the key.
+and a key set twice raise :class:`ParseError` with the line number and
+constraint violations raise :class:`ValidationError` naming the key.
 
 Each key is declared once, as a field of its block dataclass: the field
 carries the value kind and bound, and a field without a default is a required
-key.  Blocks store file-unit numbers so that serialization round-trips
-exactly; canonical rad/s (rates, drives) and Hz (transmon, cavity) values are
-derived through accessor methods.
+key.  Blocks store file-unit numbers so that ``ExperimentConfig.mhz`` echoes a
+config value exactly into ``sweep.csv`` and ``steady_state.json``; canonical
+rad/s (rates, drives) and Hz (transmon, cavity) values come from accessors.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "parse_config_text",
-    "serialize_config",
 ]
 
 UNIT_SCALES = {"Hz": 1.0, "kHz": 1e3, "MHz": HZ_PER_MHZ, "GHz": 1e9}
@@ -76,7 +75,7 @@ class TransmonBlock:
     flux_ratio: float = _key("plain", None, 0.0)
     n_g: float = _key("plain", None, 0.0)
     charge_cutoff: int = _key("int", (">=", 5), 15)
-    num_levels: int = _key("int", (">", 0), 3)
+    num_levels: int = _key("int", (">=", 3), 3)  # transmon and simulate read levels 0-2
     ratio_grid: tuple = _key("plain_list", (">", 0), ())
 
 
@@ -288,9 +287,15 @@ def _parse_list(token: str, kind: str, key: str, file_scale: float, line_no: int
     )
 
 
+def _set_once(seen: dict, key: str, line_no: int):
+    if seen.setdefault(key, line_no) != line_no:
+        raise ParseError(f"line {line_no}: key '{key}' is already set on line {seen[key]}")
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     units = "MHz"
     entries = []
+    seen: dict[str, int] = {}
     # the units key is global, so values convert only once every line is read
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -302,6 +307,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key != "units":
             entries.append((line_no, key, value))
         elif value in UNIT_SCALES:
+            _set_once(seen, key, line_no)
             units = value
         else:
             raise ValidationError(
@@ -319,6 +325,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         parse = _parse_list if kind.endswith("_list") else _parse_scalar
         parsed = parse(value, kind, key, file_scale, line_no)
         _check_bound(key, parsed, _KEYS[key].metadata["bound"])
+        _set_once(seen, key, line_no)
         section, name = key.split(".", 1)
         raw.setdefault(section, {})[name] = parsed
 
@@ -338,30 +345,3 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as handle:
         return parse_config_text(handle.read())
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("no boolean config values")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    return str(value)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form; parsing it reproduces an equal config."""
-    out = [f"units = {config.units}"]
-    for section in _BLOCKS:
-        block = getattr(config, section)
-        if block is None:
-            continue
-        for fld in fields(block):
-            value = getattr(block, fld.name)
-            if value is None or (isinstance(value, tuple) and not value):
-                continue
-            out.append(f"{section}.{fld.name} = {_format_value(value)}")
-    return "\n".join(out) + "\n"

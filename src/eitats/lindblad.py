@@ -148,11 +148,6 @@ def rotating_frame_hamiltonian(drive: DriveConfig) -> np.ndarray:
     return h
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 3x3 matrices (the same products), without its overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(9, 9)
-
-
 def _unit_superoperators() -> np.ndarray:
     """-i[H, .] for unit detuning, control and probe, then D[O] for the jump
     operators |0><1|, |0><2|, |1><2|, |0><0|, |1><1|, |2><2|, via
@@ -161,11 +156,11 @@ def _unit_superoperators() -> np.ndarray:
     units = []
     for unit_drive in (DriveConfig(0.0, 0.0, 1.0), DriveConfig(1.0, 0.0), DriveConfig(0.0, 1.0)):
         h = rotating_frame_hamiltonian(unit_drive)
-        units.append(-1j * (_kron(h, eye) - _kron(eye, h.T)))
+        units.append(-1j * (np.kron(h, eye) - np.kron(eye, h.T)))
     for i, j in ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2)):
         op, opd_op = np.zeros((2, 3, 3), dtype=complex)  # O = |i><j|, O+ O = |j><j|
         op[i, j] = opd_op[j, j] = 1.0
-        units.append(2.0 * _kron(op, op.conj()) - _kron(opd_op, eye) - _kron(eye, opd_op.T))
+        units.append(2.0 * np.kron(op, op.conj()) - np.kron(opd_op, eye) - np.kron(eye, opd_op.T))
     return np.stack(units)
 
 

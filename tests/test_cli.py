@@ -17,6 +17,7 @@ import pytest
 import eitats
 from eitats import cli
 from eitats.cli import main
+from eitats.config import parse_config_text
 from eitats.fitting import fit_ats_model, fit_eit_model
 from eitats.io_utils import read_spectrum_csv, write_spectrum_csv
 from eitats.model_selection import weight_sweep
@@ -507,6 +508,21 @@ def test_unset_drive_key_is_named(cfg_file, tmp_path, capsys, command, key):
                            if not line.startswith(f"drive.{key} ")))
     assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == f"eitats: error: drive.{key} is not set\n"
+
+
+def test_readme_example_config_is_the_tested_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"^```ini\n(.*?)^```$", readme, re.S | re.M).group(1)
+    assert parse_config_text(example) == parse_config_text(README_CFG)
+
+
+@pytest.mark.parametrize("command", ["transmon", "simulate"])
+def test_fewer_than_three_transmon_levels_exit_one(cfg_file, tmp_path, capsys, command):
+    # both commands read the transmon's levels 0-2
+    cfg = cfg_file(README_CFG + "transmon.num_levels = 2\n")
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        "eitats: error: transmon.num_levels must be >= 3 (got 2)\n")
 
 
 @pytest.mark.parametrize("rows", [0, 1])
