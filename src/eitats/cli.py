@@ -35,7 +35,7 @@ from .fitting import (Dataset, fit_ats_model, fit_damped_sinusoid, fit_eit_model
                       fit_exact_tprime_auto)
 from .io_utils import (HZ_PER_MHZ, TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
                        write_json_report, write_spectrum_csv, write_table_csv)
-from .lindblad import DriveConfig, ThreeLevelRates, rabi_trace, steady_state, steady_states
+from .lindblad import rabi_trace, steady_state
 from .model_selection import NoCrossing, crossing_threshold, discriminate, weight_sweep
 from .readout import (cavity_lorentzian, composite_transmission, dispersive_shifts,
                       normalized_transmission)
@@ -123,14 +123,8 @@ def cmd_transmon(args, config: ExperimentConfig) -> int:
     prov = _provenance(config, "transmon", None)
 
     ratios = np.array(config.transmon.ratio_grid or tuple(np.linspace(1.0, 60.0, 60)))
-    table = selection_rule_sweep(spec, ratios)
-    write_table_csv(
-        out / "transmon_sweep.csv",
-        ["ratio", "e01", "e02", "e12", "m01", "m02", "m12"],
-        [table.ratios, table.e01, table.e02, table.e12,
-         table.m01, table.m02, table.m12],
-        prov,
-    )
+    table = asdict(selection_rule_sweep(spec, ratios))  # its fields are the CSV columns
+    write_table_csv(out / "transmon_sweep.csv", list(table), list(table.values()), prov)
 
     payload = {
         "charging_energy_mhz": spec.charging_energy / HZ_PER_MHZ,
@@ -151,11 +145,9 @@ def cmd_transmon(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _simulated_tprime(config: ExperimentConfig, rates: ThreeLevelRates,
-                      drive: DriveConfig, detunings: np.ndarray) -> np.ndarray:
-    """Simulated T' over ``detunings`` (rad/s) from the grid's steady states: the cavity
+def _simulated_tprime(config: ExperimentConfig, rho: np.ndarray) -> np.ndarray:
+    """Simulated T' from the steady states ``rho`` (n, 3, 3) of a detuning grid: the cavity
     readout with ``transmon`` and ``cavity`` blocks, else the peak-normalized coherence."""
-    rho = steady_states(rates, drive, detunings)
     if config.cavity is None or config.transmon is None:
         values = rho[:, 2, 0].imag
         peak = np.max(np.abs(values))
@@ -175,15 +167,16 @@ def cmd_simulate(args, config: ExperimentConfig) -> int:
     detunings = config.detuning_grid_rad()
     control_rad = _control_rad(args)
     seed = _seed(args, config)
-    drive = config.drive_config(config.rad(config.drive.delta), control_rad)
-    values = add_noise(_simulated_tprime(config, rates, drive, detunings),
-                       config.noise.sigma, seed, 0, 0)
+    drive = config.drive_config(control_rad)
+    # the drive's own detuning rides along as the last row of the grid solve
+    states = steady_state(rates, drive, np.append(detunings, drive.detuning))
+    values = add_noise(_simulated_tprime(config, states[:-1]), config.noise.sigma, seed, 0, 0)
 
     out = _outdir(args, config)
     prov = _provenance(config, "simulate", seed if config.noise.sigma > 0 else None)
     write_spectrum_csv(out / "spectrum.csv", Dataset(x=detunings, y=values), prov)
 
-    rho = steady_state(rates, drive)
+    rho = states[-1]
     payload = {
         "populations": [rho[k, k].real for k in range(3)],
         "rho_re": rho.real,
@@ -297,7 +290,7 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
 
 def cmd_rabi(args, config: ExperimentConfig) -> int:
     rates = config.three_level_rates()
-    probe = config.drive_config(0.0, 0.0).probe
+    probe = config.drive_config(0.0).probe
     if probe <= 0:
         raise ValidationError("drive.omega_p must be > 0 for rabi", "drive.omega_p")
 

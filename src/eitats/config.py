@@ -172,8 +172,8 @@ class ExperimentConfig:
             dephase_22=self.rad(r.dephasing22),
         )
 
-    def drive_config(self, detuning_rad: float = 0.0,
-                     control_rad: float | None = None) -> DriveConfig:
+    def drive_config(self, control_rad: float | None = None) -> DriveConfig:
+        """The drive at ``drive.delta``; ``control_rad`` (rad/s) overrides ``drive.omega_c``."""
         self.require("drive")
         if control_rad is None:
             if self.drive.omega_c is None:
@@ -182,7 +182,7 @@ class ExperimentConfig:
         if self.drive.omega_p is None:
             raise ValidationError("drive.omega_p is not set", "drive.omega_p")
         return DriveConfig(control=control_rad, probe=self.rad(self.drive.omega_p),
-                           detuning=detuning_rad)
+                           detuning=self.rad(self.drive.delta))
 
     def detuning_grid_rad(self) -> np.ndarray:
         self.require("drive")
@@ -192,8 +192,9 @@ class ExperimentConfig:
 
     def control_grid_rad(self) -> np.ndarray:
         self.require("drive")
-        if not self.drive.omega_c_grid:
-            raise ValidationError("drive.omega_c_grid is not set", "drive.omega_c_grid")
+        if len(self.drive.omega_c_grid) < 2:
+            problem = "needs at least 2 values" if self.drive.omega_c_grid else "is not set"
+            raise ValidationError(f"drive.omega_c_grid {problem}", "drive.omega_c_grid")
         return np.array([self.rad(v) for v in self.drive.omega_c_grid])
 
     def transmon_spec(self) -> TransmonSpec:

@@ -20,7 +20,8 @@ detuning delta on levels 1 and 2 and the two drives on the 2-1 and 2-0 bonds.
 Everything is angular frequency (rad/s).  Density matrices are plain complex
 3x3 numpy arrays; the 9x9 Liouvillian, a weighted sum of fixed unit
 superoperators, acts on their row-major vec.  Steady states solve L bordered by
-the trace condition (one stacked inverse per detuning grid), and time evolution
+the trace condition (one stacked inverse for a whole detuning grid, or one
+matrix at the drive's own detuning), and time evolution
 applies the exact propagator exp(L gap), one Pade-13 matrix exponential per
 distinct sample gap, to the vectorized state in both evolve and rabi_trace.
 """
@@ -36,7 +37,7 @@ __all__ = [
     "ThreeLevelRates", "DriveConfig", "Trajectory", "NoUniqueSteadyState",
     "PoleAtOrigin", "DegenerateDenominator", "TraceDriftError",
     "WeakProbeWarning", "rotating_frame_hamiltonian", "liouvillian_matrix",
-    "evolve", "steady_state", "steady_states", "coherence_rho20_analytic",
+    "evolve", "steady_state", "coherence_rho20_analytic",
     "populations_analytic", "rabi_trace", "validate_density_matrix",
 ]
 
@@ -265,19 +266,21 @@ def evolve(rho0: np.ndarray, rates: ThreeLevelRates, drive: DriveConfig,
                       states=np.concatenate([vec[None], states]).reshape(-1, 3, 3))
 
 
-def steady_states(rates: ThreeLevelRates, drive: DriveConfig, detunings) -> np.ndarray:
-    """Unique trace-one solutions (n, 3, 3) of L[rho] = 0 for ``drive`` at each
-    of ``detunings`` (rad/s) in place of its own.  L conserves the trace, so
-    its row 0, minus the sum of rows 4 and 8, is replaced by vec(I) times L's
-    largest row 1-norm s; rho is column 0 of one stacked inverse, times s (the
-    direct method of Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234
-    (2013)).  A singular or non-finite bordered L, or a 1-norm condition number
-    at or above ``_MAX_CONDITION``, raises :class:`NoUniqueSteadyState`.
+def steady_state(rates: ThreeLevelRates, drive: DriveConfig, detunings=None) -> np.ndarray:
+    """Unique trace-one solution (3, 3) of L[rho] = 0 at the drive's own
+    detuning or, given ``detunings`` (rad/s), the solutions (n, 3, 3) at each
+    of them in place of it.  L conserves the trace, so its row 0, minus the
+    sum of rows 4 and 8, is replaced by vec(I) times L's largest row 1-norm s;
+    rho is column 0 of one stacked inverse, times s (the direct method of
+    Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)).  A
+    singular or non-finite bordered L, or a 1-norm condition number at or
+    above ``_MAX_CONDITION``, raises :class:`NoUniqueSteadyState`.
     """
     if rates.max_rate == 0.0:
         raise NoUniqueSteadyState("all dissipation rates are zero")
-    detunings = np.asarray(detunings, dtype=float)[:, None, None]
-    bordered = liouvillian_matrix(rates, replace(drive, detuning=0.0)) + detunings * _UNITS[0]
+    grid = np.asarray(drive.detuning if detunings is None else detunings, dtype=float)
+    bordered = (liouvillian_matrix(rates, replace(drive, detuning=0.0))
+                + grid.reshape(-1, 1, 1) * _UNITS[0])
     scale = np.abs(bordered).sum(axis=2).max(axis=1)
     bordered[:, 0] = scale[:, None] * _TRACE_ROW
     try:
@@ -288,13 +291,8 @@ def steady_states(rates: ThreeLevelRates, drive: DriveConfig, detunings) -> np.n
     if not np.all(cond < _MAX_CONDITION):
         raise NoUniqueSteadyState(
             f"bordered Liouvillian has 1-norm condition number {np.max(cond):.2e}")
-    rho = (inverse[:, :, 0] * scale[:, None]).reshape(-1, 3, 3)
-    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-
-
-def steady_state(rates: ThreeLevelRates, drive: DriveConfig) -> np.ndarray:
-    """Unique trace-one solution of L[rho] = 0 at the drive's own detuning."""
-    return steady_states(rates, drive, [drive.detuning])[0]
+    rho = (inverse[:, :, 0] * scale[:, None]).reshape(grid.shape + (3, 3))
+    return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
 
 def _warn_if_strong_probe(drive: DriveConfig):

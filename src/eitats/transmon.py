@@ -93,7 +93,7 @@ class TransmonSolution:
 class SelectionRuleTable:
     """Dipole matrix elements versus E_J/E_C (CSV columns of the sweep)."""
 
-    ratios: np.ndarray
+    ratio: np.ndarray
     e01: np.ndarray
     e02: np.ndarray
     e12: np.ndarray
@@ -190,7 +190,7 @@ def selection_rule_sweep(spec_template: TransmonSpec, ratio_grid) -> SelectionRu
         cols["m01"][idx] = sol.cosphi_elements[0, 1]
         cols["m02"][idx] = sol.cosphi_elements[0, 2]
         cols["m12"][idx] = sol.cosphi_elements[1, 2]
-    return SelectionRuleTable(ratios=ratios, **cols)
+    return SelectionRuleTable(ratio=ratios, **cols)
 
 
 def circulating_current_coupling(

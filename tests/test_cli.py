@@ -20,6 +20,7 @@ from eitats.cli import main
 from eitats.config import parse_config_text
 from eitats.fitting import fit_ats_model, fit_eit_model
 from eitats.io_utils import read_spectrum_csv, write_spectrum_csv
+from eitats.lindblad import DriveConfig, ThreeLevelRates, steady_state
 from eitats.model_selection import weight_sweep
 from eitats.synth import synth_spectrum
 
@@ -169,6 +170,24 @@ class TestSimulate:
         assert run(command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-3") == 1
         assert capsys.readouterr().err == "eitats: error: --seed must be >= 0 (got -3)\n"
 
+    def test_one_liouvillian_inversion_per_run(self, cfg_file, tmp_path, monkeypatch):
+        # the drive's own detuning is the last row of the one grid solve, and
+        # steady_state.json holds that row, equal to its lone solve
+        inverted, inv = [], np.linalg.inv
+
+        def counted_inv(a):
+            inverted.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        cfg = cfg_file(README_CFG + "drive.delta = 3.7\n")
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+        assert inverted == [(62, 9, 9)]
+        doc = json.loads((tmp_path / "o" / "steady_state.json").read_text())
+        rho = steady_state(ThreeLevelRates(3.52 * M, 6.90 * M, 6.90 * M),
+                           DriveConfig(2.06 * M, 0.02 * M, 3.7 * M))
+        assert np.array_equal(np.array(doc["rho_re"]) + 1j * np.array(doc["rho_im"]), rho)
+
     def test_no_dissipation_exit_two(self, cfg_file, tmp_path):
         cfg = cfg_file(BASE_CFG.replace("rates.gamma10 = 3.52", "rates.gamma10 = 0")
                        .replace("rates.gamma20 = 6.90", "rates.gamma20 = 0")
@@ -309,6 +328,14 @@ class TestSweepCommand:
         assert run("sweep", "--config", cfg, "--out", str(out)) == 0
         doc = json.loads((out / "sweep.json").read_text())
         assert (doc["n_failed_fits"], doc["n_nonconverged_fits"]) == (1, 1)
+
+    def test_one_value_grid_fails_before_fitting(self, cfg_file, tmp_path, capsys):
+        cfg = cfg_file(README_CFG.replace("2.0:8.0:13", "3.0"))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "eitats: error: drive.omega_c_grid needs at least 2 values\n")
+        assert not (out / "sweep.csv").exists()
 
     def test_readme_sweep_matches_library(self, cfg_file, tmp_path):
         cfg = cfg_file(README_CFG.replace("noise.seeds = 25", "noise.seeds = 2"))
@@ -514,6 +541,14 @@ def test_readme_example_config_is_the_tested_one():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r"^```ini\n(.*?)^```$", readme, re.S | re.M).group(1)
     assert parse_config_text(example) == parse_config_text(README_CFG)
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"^```python\n(.*?)^```$", readme, re.S | re.M).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    points, w_eit = capsys.readouterr().out.splitlines()
+    assert points.split()[0] == "61" and float(w_eit) > 0.99
 
 
 @pytest.mark.parametrize("command", ["transmon", "simulate"])

@@ -58,6 +58,12 @@ class TestParsing:
         assert grid.size == 61
         assert grid[0] == pytest.approx(-2 * math.pi * 25e6, rel=1e-12)
 
+    def test_drive_is_at_the_configs_detuning(self):
+        assert parse_config_text(MINIMAL).drive_config().detuning == 0.0
+        cfg = parse_config_text(MINIMAL + "drive.delta = -1.25\n")
+        drive = cfg.drive_config(2.0 * TWO_PI_MHZ)
+        assert (drive.control, drive.detuning) == (2.0 * TWO_PI_MHZ, -1.25 * TWO_PI_MHZ)
+
     def test_unknown_key_names_it(self):
         with pytest.raises(ValidationError) as err:
             parse_config_text(MINIMAL + "rates.gamma99 = 1\n")

@@ -137,6 +137,46 @@ class TestMinimizer:
         step, singular = _solve(m, np.ones((2, 2)))
         assert singular.tolist() == [False, True]
         assert step[0].tolist() == [0.5, 1.0] and np.isnan(step[1]).all()
+        # among random systems: every other row is its lone solve, and the
+        # stack without the singular system agrees
+        rng = np.random.default_rng(5)
+        m, b = rng.normal(size=(5, 2, 2)), rng.normal(size=(5, 2))
+        m[2] = [[1.0, 2.0], [2.0, 4.0]]
+        step, singular = _solve(m, b)
+        assert singular.tolist() == [False, False, True, False, False]
+        assert np.isnan(step[2]).all()
+        others = [0, 1, 3, 4]
+        for k in others:
+            assert np.array_equal(step[k], np.linalg.solve(m[k], b[k]))
+        alone, none = _solve(m[others], b[others])
+        assert not none.any() and np.array_equal(alone, step[others])
+
+    def test_singular_trial_fails_only_its_cell(self, monkeypatch):
+        # an exactly singular damped system in the first trial solve fails that
+        # cell alone; the other cells fit as if alone
+        x = np.linspace(0.0, 4.0, 30)
+        truth = np.array([[2.0, 0.7], [0.5, 1.5], [1.2, 0.3]])
+        data = Dataset(x=x, y=truth[:, :1] * np.exp(-truth[:, 1:] * x))
+        calls, solve = [], fitting._solve
+
+        def model(xv, p, rows):
+            return p[:, :1] * np.exp(-p[:, 1:] * xv)
+
+        def singular_first_trial(m, b):
+            calls.append(len(b))
+            if len(calls) == 2:  # after the start's relative-offset solve
+                m = m.copy()
+                m[1] = 0.0
+            return solve(m, b)
+
+        monkeypatch.setattr(fitting, "_solve", singular_first_trial)
+        batch = nlls_minimize(model, data, np.ones((3, 2)))
+        monkeypatch.setattr(fitting, "_solve", solve)
+        assert isinstance(batch[1], SingularJacobian)
+        assert str(batch[1]) == "normal equations are singular"
+        for k in (0, 2):
+            alone = nlls_minimize(model, Dataset(x=x, y=data.y[k:k + 1]), np.ones((1, 2)))
+            assert batch[k] == alone[0]
 
     def test_insensitive_model_raises(self):
         x = np.linspace(1.0, 5.0, 20)

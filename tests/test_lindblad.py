@@ -23,7 +23,6 @@ from eitats.lindblad import (
     rabi_trace,
     rotating_frame_hamiltonian,
     steady_state,
-    steady_states,
     validate_density_matrix,
 )
 from eitats.synth import add_noise
@@ -256,7 +255,7 @@ class TestSteadyState:
         # the README grid: 61 detunings over +-25 MHz, control 2.06, probe 0.02
         detunings = np.linspace(-25.0, 25.0, 61) * M
         drive = DriveConfig(control=2.06 * M, probe=0.02 * M)
-        batch = steady_states(paper_rates, drive, detunings)
+        batch = steady_state(paper_rates, drive, detunings)
         for det, rho in zip(detunings, batch):
             liou = liouvillian_matrix(paper_rates, DriveConfig(2.06 * M, 0.02 * M, det))
             kernel = null_space(liou, rcond=1e-10)
@@ -276,7 +275,7 @@ class TestSteadyState:
         rates = ThreeLevelRates(*(M * rate for rate in relax + dephase))
         drive = DriveConfig(control=control * M, probe=probe * M)
         detunings = np.array(detunings) * M
-        batch = steady_states(rates, drive, detunings)
+        batch = steady_state(rates, drive, detunings)
         for det, rho in zip(detunings, batch):
             alone = replace(drive, detuning=det)
             assert np.array_equal(rho, steady_state(rates, alone))
@@ -289,11 +288,11 @@ class TestSteadyState:
     def test_excited_block_matches_extended_precision(self, paper_rates, control):
         # the small excited-state block the cavity readout subtracts, against a
         # 40-digit solve of the same float64 Liouvillian with its row 8 (not the
-        # row steady_states replaces) swapped for the trace condition
+        # row steady_state replaces) swapped for the trace condition
         mpmath = pytest.importorskip("mpmath")
         detunings = np.linspace(-25.0, 25.0, 61) * M
         drive = DriveConfig(control=control * M, probe=0.02 * M)
-        batch = steady_states(paper_rates, drive, detunings)
+        batch = steady_state(paper_rates, drive, detunings)
         with mpmath.workdps(40):
             for det, rho in zip(detunings, batch):
                 liou = liouvillian_matrix(paper_rates, replace(drive, detuning=det))
@@ -310,11 +309,11 @@ class TestSteadyState:
 
     def test_no_svd(self, paper_rates, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("matrix decomposition inside steady_states")
+            raise AssertionError("matrix decomposition inside steady_state")
 
         for name in ("svd", "lstsq", "pinv", "qr"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        batch = steady_states(paper_rates, DriveConfig(control=2.06 * M, probe=0.02 * M),
+        batch = steady_state(paper_rates, DriveConfig(control=2.06 * M, probe=0.02 * M),
                               np.linspace(-25.0, 25.0, 61) * M)
         assert batch.shape == (61, 3, 3)
 

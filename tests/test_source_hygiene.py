@@ -74,3 +74,31 @@ def test_every_top_level_name_is_used():
     scan = dead_names({"m.py": "def f(n):\n    return f(n - 1)\n__all__ = ['f']\n"
                                "X = 1\nY = X\n", "t.py": "from m import f\n"}, {"m.py"})
     assert scan == [("m.py", "f"), ("m.py", "Y")]
+
+
+def unused_imports(text: str) -> list:
+    """Names a module imports but neither reads nor re-exports in its ``__all__``."""
+    tree = ast.parse(text)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    for stmt in tree.body:
+        if "__all__" in _bound(stmt):
+            used |= set(ast.literal_eval(stmt.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) == len(MODULES)
+    assert {name: names for name, names in found.items() if names} == {}
+    # a re-export through __all__ is a use; an attribute name or a string is not
+    scan = unused_imports("from __future__ import annotations\nimport os.path, sys\n"
+                          "from m import a, b as c, d\n__all__ = ['a']\n"
+                          "sys.exit(x.d, 'c')\n")
+    assert scan == ["os", "c", "d"]
