@@ -31,8 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, ValidationError, load_config
-from .fitting import (Dataset, fit_ats_model, fit_damped_sinusoid, fit_eit_model,
-                      fit_exact_tprime_auto)
+from .fitting import Dataset, fit_damped_sinusoid, fit_exact_tprime_auto, fit_reduced_forms
 from .io_utils import (HZ_PER_MHZ, TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
                        write_json_report, write_spectrum_csv, write_table_csv)
 from .lindblad import rabi_trace, steady_state
@@ -232,7 +231,7 @@ def cmd_fit(args, config: ExperimentConfig) -> int:
         result = fit_exact_tprime_auto(data, rates.coherence_10, rates.coherence_20,
                                        control_hint=_control_rad(args))
     elif args.model in ("eit", "ats"):
-        eit_fit, ats_fit = fit_eit_model(data), fit_ats_model(data)
+        eit_fit, ats_fit = fit_reduced_forms(data)
         report = discriminate(data, eit_fit=eit_fit, ats_fit=ats_fit)
         result, own_weight = ((eit_fit, report.w_eit) if args.model == "eit"
                               else (ats_fit, report.w_ats))

@@ -16,11 +16,10 @@ coordinates, until the relative offset of Bates & Watts (Technometrics 23, 179
 
 A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
 one pass: projections broadcast, so grid starts are scored against all cells
-at once, and one flat minimizer loop gives each iterating cell one trial
-point, with its own central-difference shifts, per model call.  Rows meet only
-in per-row ``einsum`` reductions, elementwise operations and stacked
-normal-equation solves, so each cell's fit is bit-identical to its curve's
-alone.
+at once, and one flat minimizer loop (over both reduced forms' cells in
+:func:`fit_reduced_forms`) gives each iterating cell one trial point per model
+call.  Rows meet only in per-row ``einsum`` reductions, elementwise operations
+and stacked solves, so each cell's fit is bit-identical to its curve's alone.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 from .spectra import _tprime
 
 __all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimize",
-           "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_damped_sinusoid",
-           "damped_sinusoid_curve"]
+           "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_reduced_forms",
+           "fit_damped_sinusoid", "damped_sinusoid_curve"]
 
 MAX_ITERATIONS = 500
 FTOL = 1e-12
@@ -41,7 +40,7 @@ RO_TOL = 1e-3
 FD_REL_STEP = 1e-6
 LOW_SIGNAL_FRACTION = 1e-4
 # grid starts are scored this many curve values per ``project`` call at most
-START_BLOCK = 1 << 13
+START_BLOCK = 1 << 14
 # Smallest relative width split gamma_plus/gamma_minus - 1 of the difference
 # form.  Above the window the best fit tends to coincident widths, which the
 # amplitudes can only follow by diverging; the residual is quadratic in the
@@ -304,52 +303,66 @@ def _rss(curve, y):
     return np.where(np.isfinite(value), value, np.inf)
 
 
-def _separable_fit(data: Dataset, project, starts) -> FitResult | FitBatch:
-    """Variable-projection fit over the nonlinear parameters ``u``, per cell.
+def _separable_fit(data: Dataset, families) -> list:
+    """Variable-projection fits over the nonlinear parameters ``u``, per cell:
+    one result per ``(project, starts)`` family, all with one count of ``u``.
 
     ``project(u, y)`` maps ``(..., n_u)`` parameters and ``(..., points)`` data,
     broadcast together, to the named parameters (``u`` mapped to the model's
     own, and the closed-form linear ones) and the curves; grid starts are scored
-    in blocks against all cells, ``project(block[:, None], y)``.  The polish
-    starts from the first grid start of lowest residual.  An ``amplitude``
-    parameter below the low-signal floor flags the fit ``low_signal``, and a
-    start below it is not polished: its curve does not depend on ``u``.  Flat
-    data fails unless the family has an ``offset`` parameter.
+    in blocks against all cells, ``project(block[:, None], y)``.  One
+    :func:`nlls_minimize` polishes all families' cells, family-major, each from
+    its first grid start of lowest residual.  An ``amplitude`` parameter below
+    the low-signal floor flags the fit ``low_signal``, and a start below it is
+    not polished: its curve does not depend on ``u``.  Flat data fails unless
+    the family has an ``offset`` parameter.
     """
-    starts, y = np.array(starts, dtype=float), data.y.reshape(-1, len(data))
-    cells = len(y)
-    pick, best = np.zeros(cells, int), np.full(cells, np.inf)
-    per_call = max(1, START_BLOCK // y.size)
-    for first in range(0, len(starts), per_call):
-        rss = _rss(project(starts[first:first + per_call, None], y)[1], y)
-        low = rss.min(axis=0)
-        better = low < best
-        pick[better], best[better] = first + rss.argmin(axis=0)[better], low[better]
-    u = starts[pick]
-    params = project(u, y)[0]
-    _check_size(data, len(params))
-    flat = ("offset" not in params) & (np.ptp(y, axis=1) <= 0.0)
-    errors = dict.fromkeys(np.flatnonzero(flat).tolist(),
-                           SingularJacobian("data has zero variance; nothing to fit"))
+    y = data.y.reshape(-1, len(data))
+    cells, per_call, u, errors, converged = len(y), max(1, START_BLOCK // y.size), [], [], []
     floor = LOW_SIGNAL_FRACTION * np.maximum(np.max(np.abs(y), axis=1), 1e-300)
-    converged = flat | (params.get("amplitude", np.inf) < floor)
-    iterations, rows = np.zeros(cells, int), np.flatnonzero(~converged)
+    for project, starts in families:
+        starts = np.array(starts, dtype=float)
+        pick, best = np.zeros(cells, int), np.full(cells, np.inf)
+        for first in range(0, len(starts), per_call):
+            rss = _rss(project(starts[first:first + per_call, None], y)[1], y)
+            low = rss.min(axis=0)
+            better = low < best
+            pick[better], best[better] = first + rss.argmin(axis=0)[better], low[better]
+        u.append(starts[pick])
+        params = project(u[-1], y)[0]
+        _check_size(data, len(params))
+        flat = ("offset" not in params) & (np.ptp(y, axis=1) <= 0.0)
+        errors.append(dict.fromkeys(np.flatnonzero(flat).tolist(),
+                                    SingularJacobian("data has zero variance; nothing to fit")))
+        converged.append(flat | (params.get("amplitude", np.inf) < floor))
+    u, converged = np.array(u), np.array(converged)
+    iterations, (owner, rows) = np.zeros(converged.shape, int), np.nonzero(~converged)
     if rows.size:
         stack = y[rows]
-        batch = nlls_minimize(lambda x, v, sub: project(v, stack[sub])[1],
-                              Dataset(data.x, stack), u[rows])
-        for c, fit in zip(rows.tolist(), batch):
+
+        def model(x, v, sub):  # each row's curve from its own family's projection
+            curves, who = np.empty((sub.size, len(x))), owner[sub]
+            for f, (project, _) in enumerate(families):
+                if (mine := who == f).any():
+                    curves[mine] = project(v[mine], stack[sub[mine]])[1]
+            return curves
+
+        batch = nlls_minimize(model, Dataset(data.x, stack), u[owner, rows])
+        for f, c, fit in zip(owner.tolist(), rows.tolist(), batch):
             if isinstance(fit, Exception):
-                errors[c] = fit
+                errors[f][c] = fit
             else:
-                u[c] = list(fit.parameters.values())
-                converged[c], iterations[c] = fit.converged, fit.iterations
-    params, curve = project(u, y)
-    rss, low = _rss(curve, y), params.get("amplitude", np.inf) < floor
-    return _unstack(data, [errors.get(c) or FitResult(
-        {key: float(v[c]) for key, v in params.items()}, float(rss[c]), len(data), len(params),
-        bool(converged[c]), int(iterations[c]), ("low_signal",) if low[c] else ())
-        for c in range(cells)])
+                u[f, c] = list(fit.parameters.values())
+                converged[f, c], iterations[f, c] = fit.converged, fit.iterations
+    results = []
+    for f, (project, _) in enumerate(families):
+        params, curve = project(u[f], y)
+        rss, low = _rss(curve, y), params.get("amplitude", np.inf) < floor
+        results.append(_unstack(data, [errors[f].get(c) or FitResult(
+            {key: float(v[c]) for key, v in params.items()}, float(rss[c]), len(data),
+            len(params), bool(converged[f, c]), int(iterations[f, c]),
+            ("low_signal",) if low[c] else ()) for c in range(cells)]))
+    return results
 
 
 def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
@@ -373,23 +386,14 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
     controls = list(np.geomspace(0.02, 3.2, 25) * max(gamma_20, -data.x[0], data.x[-1]))
     if control_hint is not None and control_hint > 0:
         controls.append(control_hint)
-    return _separable_fit(data, project, np.log(controls)[:, None])
+    return _separable_fit(data, [(project, np.log(controls)[:, None])])[0]
 
 
-def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
-    """Fit the difference-of-Lorentzians form; k = 4 parameters.
+def _reduced_forms(data: Dataset) -> list:
+    """The difference form's and the doublet form's ``(project, starts)``."""
+    x, x2, span = data.x, data.x**2, max(-data.x[0], data.x[-1])
 
-    The widths are searched as the logs of their geometric mean and of their
-    relative split gamma_plus/gamma_minus - 1, floored at ``MIN_SPLIT``.  At
-    fixed widths the amplitudes solve a two-column non-negative least-squares
-    problem, written in the divided-difference basis {1/(x^2+gp^2),
-    1/((x^2+gp^2)(x^2+gm^2))} that stays well conditioned as the widths
-    coincide.  The fitted curve may go negative when forced onto
-    doublet-regime data, which is reported as-is rather than clamped.
-    """
-    x2 = data.x**2
-
-    def project(u, y):
+    def difference(u, y):
         mean, split = _exp(u[..., 0]), np.maximum(_exp(u[..., 1]), MIN_SPLIT)
         gp, gm = mean * np.sqrt(1.0 + split), mean / np.sqrt(1.0 + split)
         broad, narrow = 1.0 / (x2 + gp[..., None] ** 2), 1.0 / (x2 + gm[..., None] ** 2)
@@ -406,12 +410,33 @@ def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
             curve[edge] = np.where(wins[:, None], on, off)
         return {"cplus_sq": cp, "cminus_sq": cm, "gamma_plus": gp, "gamma_minus": gm}, curve
 
-    span = max(-data.x[0], data.x[-1])
+    def doublet(u, y):
+        gamma, d0 = _exp(u[..., :1]), np.abs(u[..., 1:])
+        column = 1.0 / ((x - d0) ** 2 + gamma**2) + 1.0 / ((x + d0) ** 2 + gamma**2)
+        c_sq, curve = _lstsq(column[..., None, :], y, nonneg=True)
+        return {"c_sq": c_sq[..., 0], "gamma": gamma[..., 0], "delta_0": d0[..., 0]}, curve
+
     gp, gm = np.meshgrid(np.geomspace(span / 25.0, 1.2 * span, 10),
                          np.geomspace(span / 120.0, 0.6 * span, 10), indexing="ij")
     gp, gm = gp[gm < gp], gm[gm < gp]
-    starts = np.stack([0.5 * np.log(gp * gm), np.log(gp / gm - 1.0)], axis=1)
-    return _separable_fit(data, project, starts)
+    d0, gamma = np.meshgrid(np.linspace(0.0, 0.9 * span, 10),
+                            np.geomspace(span / 60.0, span, 8), indexing="ij")
+    return [(difference, np.stack([0.5 * np.log(gp * gm), np.log(gp / gm - 1.0)], axis=1)),
+            (doublet, np.stack([np.log(gamma.ravel()), d0.ravel()], axis=1))]
+
+
+def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
+    """Fit the difference-of-Lorentzians form; k = 4 parameters.
+
+    The widths are searched as the logs of their geometric mean and of their
+    relative split gamma_plus/gamma_minus - 1, floored at ``MIN_SPLIT``.  At
+    fixed widths the amplitudes solve a two-column non-negative least-squares
+    problem, written in the divided-difference basis {1/(x^2+gp^2),
+    1/((x^2+gp^2)(x^2+gm^2))} that stays well conditioned as the widths
+    coincide.  The fitted curve may go negative when forced onto
+    doublet-regime data, which is reported as-is rather than clamped.
+    """
+    return _separable_fit(data, _reduced_forms(data)[:1])[0]
 
 
 def fit_ats_model(data: Dataset) -> FitResult | FitBatch:
@@ -421,19 +446,12 @@ def fit_ats_model(data: Dataset) -> FitResult | FitBatch:
     (as |.|) so it can reach 0; the common amplitude is a one-column
     non-negative least-squares solve.
     """
-    x = data.x
+    return _separable_fit(data, _reduced_forms(data)[1:])[0]
 
-    def project(u, y):
-        gamma, d0 = _exp(u[..., :1]), np.abs(u[..., 1:])
-        column = 1.0 / ((x - d0) ** 2 + gamma**2) + 1.0 / ((x + d0) ** 2 + gamma**2)
-        c_sq, curve = _lstsq(column[..., None, :], y, nonneg=True)
-        return {"c_sq": c_sq[..., 0], "gamma": gamma[..., 0], "delta_0": d0[..., 0]}, curve
 
-    span = max(-x[0], x[-1])
-    d0, gamma = np.meshgrid(np.linspace(0.0, 0.9 * span, 10),
-                            np.geomspace(span / 60.0, span, 8), indexing="ij")
-    starts = np.stack([np.log(gamma.ravel()), d0.ravel()], axis=1)
-    return _separable_fit(data, project, starts)
+def fit_reduced_forms(data: Dataset) -> tuple:
+    """``(fit_eit_model(data), fit_ats_model(data))``, bit for bit, in one loop."""
+    return tuple(_separable_fit(data, _reduced_forms(data)))
 
 
 def damped_sinusoid_curve(t, offset, amplitude, decay_time, period, phase):
@@ -486,7 +504,7 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
         decay = np.where(np.abs(z) < 1.0, -min_dt / np.log(np.abs(z)), np.inf)
         starts = np.log(np.c_[decay, 2.0 * np.pi * min_dt / np.abs(np.angle(z))])
     coarse = [[np.log(span * d), np.log(span / n)] for d in (0.05, 0.3, 1.0) for n in (0.5, 2, 8)]
-    fit = _separable_fit(data, project, np.r_[np.clip(starts, lo, hi), coarse])
+    fit = _separable_fit(data, [(project, np.r_[np.clip(starts, lo, hi), coarse])])[0]
     u = np.log([fit.parameters["decay_time"], fit.parameters["period"]])
     tol = FD_REL_STEP * np.maximum(np.abs([lo, hi]), 1.0)
     if np.any(u <= lo + tol[0]) or np.any(u >= hi - tol[1]):

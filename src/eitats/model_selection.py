@@ -13,9 +13,9 @@ in either regime, which is what the regime classification thresholds require
 (the soft per-point variant, the same formula on Ibar, cannot exceed ~0.7 at a
 few percent noise no matter how decisive the fit comparison is).
 
-The sweep generates seeded synthetic spectra, fits both reduced models to all
-of them as one stack per model, averages the weights over seeds, and locates
-the drive strength where the mean difference-form weight crosses one half.
+The sweep synthesizes seeded spectra, fits both reduced models to all of
+them in one minimizer loop, averages the weights over seeds, and locates the
+drive strength where the mean difference-form weight crosses one half.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import Dataset, FitResult, SingularJacobian, fit_ats_model, fit_eit_model
+from .fitting import Dataset, FitResult, SingularJacobian, fit_reduced_forms
 from .synth import synth_spectrum
 
 __all__ = ["AicReport", "WeightSweepResult", "CrossingResult", "NonPositiveResidual",
@@ -127,9 +127,10 @@ def akaike_weights(ibar_eit: float, ibar_ats: float) -> tuple[float, float]:
 
 def discriminate(data: Dataset, eit_fit: FitResult | None = None,
                  ats_fit: FitResult | None = None) -> AicReport:
-    """Fit both reduced models to one spectrum, unless given their fits, and
-    report losses and weights."""
-    eit_fit, ats_fit = eit_fit or fit_eit_model(data), ats_fit or fit_ats_model(data)
+    """Fit both reduced models to one spectrum, unless given both their fits,
+    and report losses and weights."""
+    if eit_fit is None or ats_fit is None:
+        eit_fit, ats_fit = fit_reduced_forms(data)
     n = len(data)
     i_eit, i_ats = aic(n, eit_fit.residual_sum, K_EIT), aic(n, ats_fit.residual_sum, K_ATS)
     return AicReport(i_eit, i_ats, i_eit / n, i_ats / n, *akaike_weights(i_eit, i_ats), n,
@@ -144,32 +145,33 @@ def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
     """Seed-averaged model weights across a control-strength grid.
 
     Each (grid point, seed) cell is a synthetic spectrum over ``detunings``
-    (rad/s; the synth default grid when None), seeded by its indices.  Each
-    reduced model is fitted to all cells as one stack, and each cell's two
-    fits go through :func:`discriminate`.  A cell's fits equal those of its
-    spectrum alone, and a cell whose fit fails is counted in ``n_failed`` and
-    left out of the averages instead of aborting the sweep.
+    (rad/s; the synth default grid when None), seeded by its indices; one
+    :func:`synth_spectrum` call makes them all, one minimizer loop fits both
+    reduced models to all, and each cell's two fits go through
+    :func:`discriminate`.  A cell's fits equal those of its spectrum alone, and
+    a cell whose fit fails is counted in ``n_failed`` and left out of the
+    averages instead of aborting the sweep.
     """
     control_grid = np.asarray(control_grid, dtype=float)
     if control_grid.ndim != 1 or control_grid.size == 0 or np.any(np.diff(control_grid) <= 0):
         raise ValueError("control_grid must be a non-empty, strictly increasing 1-D array")
-    if noise_sigma < 0 or n_seeds < 1:
-        raise ValueError("need noise_sigma >= 0 and n_seeds >= 1")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1 (got {n_seeds})")
 
-    spectra = [synth_spectrum(gamma_10, gamma_20, control, detunings, noise_sigma=noise_sigma,
-                              seed_parts=(base_seed, i, seed))
-               for i, control in enumerate(control_grid) for seed in range(n_seeds)]
-    stack = Dataset(x=spectra[0].x, y=[s.y for s in spectra])
+    spectra = synth_spectrum(gamma_10, gamma_20, np.repeat(control_grid, n_seeds), detunings,
+                             noise_sigma=noise_sigma, seed_parts=[
+                                 (base_seed, i, seed) for i in range(control_grid.size)
+                                 for seed in range(n_seeds)])
     shape = (control_grid.size, n_seeds)
     w_eit, r_eit, r_ats = np.full((3,) + shape, np.nan)
     converged, iterations = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=int)
-    for c, (s, eit, ats) in enumerate(zip(spectra, fit_eit_model(stack), fit_ats_model(stack))):
+    for cell, y, eit, ats in zip(np.ndindex(shape), spectra.y, *fit_reduced_forms(spectra)):
         for fit in (eit, ats):
             if isinstance(fit, Exception) and not isinstance(fit, SingularJacobian):
                 raise fit
         if isinstance(eit, Exception) or isinstance(ats, Exception):
             continue
-        report, cell = discriminate(s, eit_fit=eit, ats_fit=ats), divmod(c, n_seeds)
+        report = discriminate(Dataset(spectra.x, y), eit_fit=eit, ats_fit=ats)
         w_eit[cell], r_eit[cell], r_ats[cell] = report.w_eit, report.r_eit, report.r_ats
         converged[cell] = eit.converged and ats.converged
         iterations[cell] = eit.iterations + ats.iterations
@@ -185,17 +187,17 @@ def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
 
 
 def crossing_threshold(control_grid, w_eit_mean) -> CrossingResult:
-    """Linear interpolation of the first downward 0.5 crossing of the curve."""
+    """Linear interpolation of the first downward 0.5 crossing of the curve's finite points."""
     grid = np.asarray(control_grid, dtype=float)
     curve = np.asarray(w_eit_mean, dtype=float)
     if grid.shape != curve.shape or grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid and curve must be matching 1-D arrays (length >= 2)")
+    grid, curve = grid[~np.isnan(curve)], curve[~np.isnan(curve)]
     a, b = curve[:-1] - 0.5, curve[1:] - 0.5
     with np.errstate(invalid="ignore", divide="ignore"):
         between = grid[:-1] + a / (a - b) * np.diff(grid)
-    hits = ((a == 0.0) & ~np.isnan(b)) | (a * b < 0.0)
-    crossings = list(np.where(a == 0.0, grid[:-1], between)[hits])
-    crossings += [grid[-1]] * bool(curve[-1] == 0.5)
+    crossings = list(np.where(a == 0.0, grid[:-1], between)[(a == 0.0) | (a * b < 0.0)])
+    crossings += list(grid[-1:][curve[-1:] == 0.5])
     if not crossings:
         raise NoCrossing("weight curve never reaches 0.5")
     return CrossingResult(threshold=float(crossings[0]), multiple_crossings=len(crossings) > 1)

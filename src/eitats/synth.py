@@ -11,13 +11,11 @@ platforms and execution orders.  Spectra are returned as a
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .fitting import Dataset
 from .io_utils import TWO_PI_MHZ
-from .spectra import ExactModelParams, tprime_exact
+from .spectra import ExactModelParams, _tprime
 
 __all__ = ["cell_rng", "add_noise", "synth_spectrum", "default_detuning_grid"]
 
@@ -45,22 +43,24 @@ def default_detuning_grid(n_points: int = DEFAULT_N_POINTS,
     return np.linspace(-span, span, n_points)
 
 
-def synth_spectrum(gamma_10: float, gamma_20: float, control: float,
+def synth_spectrum(gamma_10: float, gamma_20: float, control,
                    detunings: np.ndarray | None = None,
                    noise_sigma: float = 0.0,
-                   seed_parts: tuple = (0,)) -> Dataset:
+                   seed_parts=(0,)) -> Dataset:
     """Exact transmission curve, peak-normalized to 1, with seeded noise.
 
     With ``noise_sigma = 0`` the values are bit-identical to
     :func:`eitats.spectra.tprime_exact` at amplitude one over the peak of the
-    amplitude-1 curve.
+    amplitude-1 curve.  A 1-D array of controls, with one ``seed_parts`` tuple
+    each, gives the stack of their curves, each row as its own call gives it.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
-    if detunings is None:
-        detunings = default_detuning_grid()
-    base = ExactModelParams(amplitude=1.0, probe=1.0, control=control,
-                            gamma_10=gamma_10, gamma_20=gamma_20)
-    amplitude = 1.0 / float(np.max(tprime_exact(detunings, base)))
-    values = tprime_exact(detunings, replace(base, amplitude=amplitude))
-    return Dataset(x=detunings, y=add_noise(values, noise_sigma, *seed_parts))
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0 (got {noise_sigma})")
+    detunings = default_detuning_grid() if detunings is None else np.asarray(detunings, float)
+    column = np.asarray(control, dtype=float).reshape(-1, 1)
+    ExactModelParams(1.0, 1.0, float(np.min(column)), gamma_10, gamma_20)  # checks rates, drives
+    peak = np.max(_tprime(detunings, 1.0, column, gamma_10, gamma_20), axis=-1, keepdims=True)
+    values = _tprime(detunings, 1.0 / peak, column, gamma_10, gamma_20)
+    seeds = seed_parts if np.ndim(control) else [seed_parts]
+    noisy = np.array([add_noise(v, noise_sigma, *s) for v, s in zip(values, seeds, strict=True)])
+    return Dataset(x=detunings, y=noisy if np.ndim(control) else noisy[0])

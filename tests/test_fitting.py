@@ -15,6 +15,7 @@ from eitats.fitting import (
     fit_damped_sinusoid,
     fit_eit_model,
     fit_exact_tprime_auto,
+    fit_reduced_forms,
     nlls_minimize,
 )
 from eitats.fitting import _lstsq, _separable_fit, _solve
@@ -35,6 +36,23 @@ def exact_curve(control, delta=None, amplitude=1.0):
 def noisy_spectrum(control, seed, sigma=0.03):
     return synth_spectrum(G10, G20, control, np.linspace(-25.0, 25.0, 61),
                           noise_sigma=sigma, seed_parts=(seed,))
+
+
+def rate_fits():
+    """Abscissa, three curves, log-rate starts and a separable one-rate family
+    whose polish fails on the middle, rising curve: it fits that curve by a
+    constant, which no rate changes."""
+    x = np.linspace(0.0, 3.0, 20)
+    y = np.array([2.0 * np.exp(-0.7 * x), 1.0 + 0.1 * x, 0.5 * np.exp(-1.9 * x)])
+
+    def project(u, data):
+        rate = np.exp(u[..., 0])
+        rising = (data[..., -1] > data[..., 0])[..., None]
+        column = np.where(rising, 1.0, np.exp(-rate[..., None] * x))
+        scale, curve = _lstsq(column[..., None, :], data)
+        return {"rate": rate, "scale": scale[..., 0]}, curve
+
+    return x, y, np.log([[0.3], [1.0], [3.0]]), project
 
 
 class TestMinimizer:
@@ -205,22 +223,12 @@ class TestMinimizer:
             assert batch[k].parameters["p0"] == pytest.approx(slopes[k, 0], rel=1e-10)
 
     def test_failed_polish_fails_alone_in_a_separable_stack(self):
-        x = np.linspace(0.0, 3.0, 20)
-        y = np.array([2.0 * np.exp(-0.7 * x), 1.0 + 0.1 * x, 0.5 * np.exp(-1.9 * x)])
-        starts = np.log([[0.3], [1.0], [3.0]])
-
-        def project(u, data):  # a rising curve is fitted by a constant: no rate to polish
-            rate = np.exp(u[..., 0])
-            rising = (data[..., -1] > data[..., 0])[..., None]
-            column = np.where(rising, 1.0, np.exp(-rate[..., None] * x))
-            scale, curve = _lstsq(column[..., None, :], data)
-            return {"rate": rate, "scale": scale[..., 0]}, curve
-
-        batch = _separable_fit(Dataset(x=x, y=y), project, starts)
+        x, y, starts, project = rate_fits()
+        batch, = _separable_fit(Dataset(x=x, y=y), [(project, starts)])
         assert isinstance(batch[1], SingularJacobian)
         assert str(batch[1]) == "model is insensitive to every parameter"
         for k, rate in ((0, 0.7), (2, 1.9)):
-            assert batch[k] == _separable_fit(Dataset(x=x, y=y[k]), project, starts)
+            assert batch[k] == _separable_fit(Dataset(x=x, y=y[k]), [(project, starts)])[0]
             assert batch[k].parameters["rate"] == pytest.approx(rate, rel=1e-8)
 
     def test_max_iterations_returns_best_so_far(self, monkeypatch):
@@ -259,6 +267,47 @@ class TestMinimizer:
             Dataset(x=np.array([0.0, 0.0, 1.0]), y=np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             Dataset(x=np.array([0.0, 1.0]), y=np.array([1.0]))
+
+
+class TestFamilyStack:
+    """Several families' polishes run as one stack in one minimizer loop; each
+    fit equals the one its family makes of its curve alone."""
+
+    def test_failure_in_one_family_leaves_the_other_alone(self, monkeypatch):
+        x, y, starts, decay = rate_fits()
+
+        def growth(u, data):  # the exponent is searched linearly, either sign
+            column = np.exp(u[..., :1] * x)
+            scale, curve = _lstsq(column[..., None, :], data)
+            return {"exponent": u[..., 0], "scale": scale[..., 0]}, curve
+
+        calls, minimize = [], fitting.nlls_minimize
+        monkeypatch.setattr(fitting, "nlls_minimize",
+                            lambda *args: calls.append(args[1].y.shape) or minimize(*args))
+        a, b = _separable_fit(Dataset(x=x, y=y), [(decay, starts), (growth, starts)])
+        assert calls == [(6, 20)]  # one loop over both families' three cells
+        assert isinstance(a[1], SingularJacobian)
+        for k in range(3):
+            assert isinstance(b[k], FitResult) and b[k].converged
+            assert b[k] == _separable_fit(Dataset(x=x, y=y[k]), [(growth, starts)])[0]
+            if k != 1:
+                assert a[k] == _separable_fit(Dataset(x=x, y=y[k]), [(decay, starts)])[0]
+
+    @pytest.mark.parametrize("block", [1, 61, 1 << 14, 1 << 20])
+    def test_start_block_does_not_move_a_bit(self, monkeypatch, block):
+        # 13 cells on the README control grid: from one start per scoring call
+        # to every start in one call
+        controls = np.linspace(2.0, 8.0, 13)
+        stack = Dataset(x=noisy_spectrum(0.5, 0).x,
+                        y=[noisy_spectrum(c, seed=k).y for k, c in enumerate(controls)])
+        reference = fit_eit_model(stack), fit_ats_model(stack)
+        monkeypatch.setattr(fitting, "START_BLOCK", block)
+        assert fit_reduced_forms(stack) == reference
+        assert (fit_eit_model(stack), fit_ats_model(stack)) == reference
+
+    def test_reduced_forms_of_one_curve(self):
+        data = noisy_spectrum(5.29, seed=3)
+        assert fit_reduced_forms(data) == (fit_eit_model(data), fit_ats_model(data))
 
 
 def two_columns(seed, points, cond, obtuse=False):
@@ -396,7 +445,8 @@ def family_projection(fit, data):
     """The ``project`` and grid starts a fit hands to its separable core."""
     seen = []
 
-    def capture(data, project, starts):
+    def capture(data, families):
+        (project, starts), = families
         seen.append((project, np.asarray(starts, dtype=float)))
         raise _Captured
 

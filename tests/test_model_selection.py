@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eitats import model_selection
+from eitats import fitting, model_selection
 from eitats.fitting import Dataset, FitBatch, SingularJacobian, fit_ats_model, fit_eit_model
 from eitats.model_selection import (
     NoCrossing,
@@ -167,8 +167,11 @@ class TestWeightSweep:
     def test_validation(self):
         with pytest.raises(ValueError):
             weight_sweep(G10, G20, np.array([2.0, 1.0]) * M)
-        with pytest.raises(ValueError):
-            weight_sweep(G10, G20, np.array([2.0]) * M, noise_sigma=-0.1)
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0"):
+                weight_sweep(G10, G20, np.array([2.0]) * M, noise_sigma=sigma)
+        with pytest.raises(ValueError, match="^n_seeds must be >= 1"):
+            weight_sweep(G10, G20, np.array([2.0]) * M, n_seeds=0)
 
 
 class TestBatchedSweep:
@@ -198,6 +201,20 @@ class TestBatchedSweep:
             assert res.iterations[cell] == eit.iterations + ats.iterations
         assert res.converged.all() and not res.n_failed.any()
 
+    def test_one_synthesis_and_one_minimizer_loop(self, monkeypatch):
+        calls = {"synth_spectrum": 0, "nlls_minimize": 0}
+        for module, name in ((model_selection, "synth_spectrum"), (fitting, "nlls_minimize")):
+            def counted(*args, original=getattr(module, name), name=name, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        res = weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=1)
+        assert calls == {"synth_spectrum": 1, "nlls_minimize": 1}
+        assert not res.n_failed.any()
+        calls.update(nlls_minimize=0)
+        discriminate(synth_spectrum(G10, G20, 5.29 * M, noise_sigma=0.03, seed_parts=(1,)))
+        assert calls["nlls_minimize"] == 1
+
     def test_readme_quotes_the_benchmark_iteration_maxima(self):
         # the acceptance-test sweep (README grid, 25 seeds, base seed 0): the README
         # sentence on its fits must follow any change to the minimizer
@@ -213,14 +230,15 @@ class TestBatchedSweep:
         assert [batch.iterations for batch in fits] == [int(n) for n in quoted.groups()]
 
     def test_other_cell_failure_aborts_the_sweep(self, monkeypatch):
-        original = model_selection.fit_eit_model
+        original = model_selection.fit_reduced_forms
 
         def fit(stack):
-            cells = list(original(stack))
+            eit, ats = original(stack)
+            cells = list(eit)
             cells[4] = ValueError("model is not finite at the initial parameters")
-            return FitBatch(cells)
+            return FitBatch(cells), ats
 
-        monkeypatch.setattr(model_selection, "fit_eit_model", fit)
+        monkeypatch.setattr(model_selection, "fit_reduced_forms", fit)
         with pytest.raises(ValueError, match="^model is not finite at the initial parameters$"):
             weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3)
 
@@ -229,9 +247,9 @@ class TestBatchedSweep:
         original = model_selection.synth_spectrum
 
         def synth(*args, seed_parts, **kwargs):
-            spectrum = original(*args, seed_parts=seed_parts, **kwargs)
-            flat = seed_parts[1:] == (4, 1)
-            return replace(spectrum, y=np.full(61, 0.5)) if flat else spectrum
+            spectra = original(*args, seed_parts=seed_parts, **kwargs)
+            flat = np.array([seed[1:] == (4, 1) for seed in seed_parts])
+            return replace(spectra, y=np.where(flat[:, None], 0.5, spectra.y))
 
         monkeypatch.setattr(model_selection, "synth_spectrum", synth)
         with pytest.raises(SingularJacobian):
@@ -262,6 +280,16 @@ class TestCrossingThreshold:
     def test_rejects_mismatched_or_short_arrays(self, grid, curve):
         with pytest.raises(ValueError, match="^grid and curve must be matching 1-D arrays"):
             crossing_threshold(np.array(grid), np.array(curve))
+
+    def test_crossing_across_a_failed_grid_point(self):
+        # a grid point whose cells all failed has a NaN mean; the crossing is
+        # interpolated between its finite neighbours
+        grid, curve = np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.9, 0.7, np.nan, 0.1])
+        res = crossing_threshold(grid, curve)
+        assert res.threshold == pytest.approx(2.0 + 2.0 * 0.2 / 0.6, rel=1e-12)
+        assert not res.multiple_crossings
+        with pytest.raises(NoCrossing):
+            crossing_threshold(np.array([1.0, 2.0]), np.array([np.nan, np.nan]))
 
     def test_no_crossing(self):
         with pytest.raises(NoCrossing):

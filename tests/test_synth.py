@@ -40,8 +40,30 @@ class TestSynthSpectrum:
         assert sample_std == pytest.approx(0.03 * peak, rel=0.2)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0"):
             synth_spectrum(G10, G20, 2.0 * M, noise_sigma=-0.01)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0"):
+            synth_spectrum(G10, G20, 2.0 * M, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.03])
+    def test_each_row_of_a_stack_is_its_own_call(self, sigma):
+        controls = np.array([0.5, 2.06, 5.29, 19.7, 40.0]) * M
+        seeds = [(2, k, 7 - k) for k in range(controls.size)]
+        stack = synth_spectrum(G10, G20, controls, noise_sigma=sigma, seed_parts=seeds)
+        assert stack.y.shape == (controls.size, 61)
+        for row, control, seed in zip(stack.y, controls, seeds):
+            alone = synth_spectrum(G10, G20, control, noise_sigma=sigma, seed_parts=seed)
+            assert np.array_equal(stack.x, alone.x) and row.tobytes() == alone.y.tobytes()
+
+    def test_stack_needs_one_seed_per_control(self):
+        with pytest.raises(ValueError):
+            synth_spectrum(G10, G20, np.array([2.0, 3.0]) * M, noise_sigma=0.03,
+                           seed_parts=[(0, 0)])
+        with pytest.raises(ValueError, match="^drive strengths must be >= 0$"):
+            synth_spectrum(G10, G20, np.array([2.0, -3.0]) * M)
 
     def test_default_grid(self):
         grid = default_detuning_grid()
