@@ -6,8 +6,10 @@ Library layout:
   elements and selection rules, flux-drive coupling.
 * :mod:`eitats.lindblad` - master-equation evolution, Liouvillian steady
   state, analytic weak-probe coherence and populations.
-* :mod:`eitats.spectra` - exact transmission lineshape, reduced
-  difference/doublet models, pole parameters, transparency window.
+* :mod:`eitats.spectra` - exact transmission lineshape, the reduced
+  difference/doublet forms (one definition each, which the fits project on
+  and whose curve functions redraw a fit's ``parameters`` dict), pole
+  parameters, transparency window.
 * :mod:`eitats.fitting` - :class:`Dataset`, the one sampled-curve type, and
   separable least-squares fits of all model families.
 * :mod:`eitats.synth` - seeded synthetic spectra and the noise convention.

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectra import _tprime
+from .spectra import _difference_columns, _doublet_column, _tprime
 
 __all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimize",
            "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_reduced_forms",
@@ -396,8 +396,8 @@ def _reduced_forms(data: Dataset) -> list:
     def difference(u, y):
         mean, split = _exp(u[..., 0]), np.maximum(_exp(u[..., 1]), MIN_SPLIT)
         gp, gm = mean * np.sqrt(1.0 + split), mean / np.sqrt(1.0 + split)
-        broad, narrow = 1.0 / (x2 + gp[..., None] ** 2), 1.0 / (x2 + gm[..., None] ** 2)
-        ab, curve = _lstsq(np.stack([broad, broad * narrow], axis=-2), y)
+        broad, product, narrow = _difference_columns(x2, gp[..., None], gm[..., None])
+        ab, curve = _lstsq(np.stack([broad, product], axis=-2), y)
         cm = -ab[..., 1] / (gm * split * (gp + gm))
         cp = ab[..., 0] + cm
         edge = ~((cp >= 0.0) & (cm >= 0.0))
@@ -412,8 +412,7 @@ def _reduced_forms(data: Dataset) -> list:
 
     def doublet(u, y):
         gamma, d0 = _exp(u[..., :1]), np.abs(u[..., 1:])
-        column = 1.0 / ((x - d0) ** 2 + gamma**2) + 1.0 / ((x + d0) ** 2 + gamma**2)
-        c_sq, curve = _lstsq(column[..., None, :], y, nonneg=True)
+        c_sq, curve = _lstsq(_doublet_column(x, gamma, d0)[..., None, :], y, nonneg=True)
         return {"c_sq": c_sq[..., 0], "gamma": gamma[..., 0], "delta_0": d0[..., 0]}, curve
 
     gp, gm = np.meshgrid(np.geomspace(span / 25.0, 1.2 * span, 10),
@@ -433,8 +432,9 @@ def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
     fixed widths the amplitudes solve a two-column non-negative least-squares
     problem, written in the divided-difference basis {1/(x^2+gp^2),
     1/((x^2+gp^2)(x^2+gm^2))} that stays well conditioned as the widths
-    coincide.  The fitted curve may go negative when forced onto
-    doublet-regime data, which is reported as-is rather than clamped.
+    coincide; :func:`eitats.spectra.eit_model` redraws the fit in it.  The
+    fitted curve may go negative when forced onto doublet-regime data, which
+    is reported as-is rather than clamped.
     """
     return _separable_fit(data, _reduced_forms(data)[:1])[0]
 

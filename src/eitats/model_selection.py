@@ -92,7 +92,7 @@ class WeightSweepResult:
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """Half-weight crossing of the mean curve; lowest crossing if several."""
+    """First downward half-weight crossing of the mean curve; several crossings flagged."""
 
     threshold: float
     multiple_crossings: bool
@@ -187,17 +187,19 @@ def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
 
 
 def crossing_threshold(control_grid, w_eit_mean) -> CrossingResult:
-    """Linear interpolation of the first downward 0.5 crossing of the curve's finite points."""
+    """Linear interpolation of the first downward 0.5 crossing of the curve's
+    finite points, a point at exactly 0.5 counting as above it.  The curve
+    crosses 0.5 at every change of side, in either direction."""
     grid = np.asarray(control_grid, dtype=float)
     curve = np.asarray(w_eit_mean, dtype=float)
     if grid.shape != curve.shape or grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid and curve must be matching 1-D arrays (length >= 2)")
     grid, curve = grid[~np.isnan(curve)], curve[~np.isnan(curve)]
-    a, b = curve[:-1] - 0.5, curve[1:] - 0.5
-    with np.errstate(invalid="ignore", divide="ignore"):
-        between = grid[:-1] + a / (a - b) * np.diff(grid)
-    crossings = list(np.where(a == 0.0, grid[:-1], between)[(a == 0.0) | (a * b < 0.0)])
-    crossings += list(grid[-1:][curve[-1:] == 0.5])
-    if not crossings:
-        raise NoCrossing("weight curve never reaches 0.5")
-    return CrossingResult(threshold=float(crossings[0]), multiple_crossings=len(crossings) > 1)
+    above = curve >= 0.5
+    falls = np.flatnonzero(above[:-1] & ~above[1:])
+    if not falls.size:
+        raise NoCrossing("weight curve never falls through 0.5")
+    i = falls[0]
+    a, b = curve[i] - 0.5, curve[i + 1] - 0.5
+    return CrossingResult(threshold=float(grid[i] + a / (a - b) * (grid[i + 1] - grid[i])),
+                          multiple_crossings=bool(np.count_nonzero(above[:-1] != above[1:]) > 1))

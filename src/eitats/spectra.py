@@ -16,8 +16,13 @@ detuning.  Its pole structure splits the parameter space in two:
   asymptotically a sum of two positive, equal-width, shifted Lorentzians.
 
 The two reduced forms are the models the fit/classification pipeline
-discriminates between.  All rates and detunings are angular (rad/s); the
-reduced models carry their own overall amplitudes, absorbing A * Omega_p.
+discriminates between.  Each form's columns are written once, in
+``_difference_columns`` and ``_doublet_column``: the fits in
+:mod:`eitats.fitting` project onto them, and :func:`eit_model` and
+:func:`ats_model` redraw a fit from its ``parameters`` dict with them, so a
+redrawn curve's residual is the fit's ``residual_sum``.  All rates and
+detunings are angular (rad/s); the reduced models carry their own overall
+amplitudes, absorbing A * Omega_p.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ import numpy as np
 
 __all__ = [
     "ExactModelParams",
-    "EitModelParams",
-    "AtsModelParams",
     "EitWindow",
     "ComplexRoots",
     "ImaginarySplitting",
@@ -68,39 +71,6 @@ class ExactModelParams:
             raise ValueError("coherence rates must be > 0")
         if self.probe < 0 or self.control < 0:
             raise ValueError("drive strengths must be >= 0")
-
-
-@dataclass(frozen=True)
-class EitModelParams:
-    """Difference of two centered Lorentzians (broad positive, narrow negative)."""
-
-    cplus_sq: float
-    cminus_sq: float
-    gamma_plus: float
-    gamma_minus: float
-
-    def __post_init__(self):
-        if not self.gamma_plus > self.gamma_minus > 0:
-            raise ValueError("widths must satisfy gamma_plus > gamma_minus > 0")
-        if self.cplus_sq < 0 or self.cminus_sq < 0:
-            raise ValueError("squared amplitudes must be >= 0")
-
-
-@dataclass(frozen=True)
-class AtsModelParams:
-    """Sum of two positive equal-width Lorentzians shifted by +/- delta_0."""
-
-    c_sq: float
-    gamma: float
-    delta_0: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.delta_0 < 0:
-            raise ValueError("delta_0 must be >= 0")
-        if self.c_sq < 0:
-            raise ValueError("c_sq must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,7 +126,7 @@ def delta0(gamma_10: float, gamma_20: float, control: float) -> float:
     return 0.5 * np.sqrt(disc)
 
 
-def eit_decomposition(p: ExactModelParams) -> EitModelParams:
+def eit_decomposition(p: ExactModelParams) -> dict:
     """Exact partial-fraction split of the transmission curve.
 
     Inside the window (control strictly below (gamma_20 - gamma_10)/2) the
@@ -165,8 +135,9 @@ def eit_decomposition(p: ExactModelParams) -> EitModelParams:
         C_plus^2  = A Omega_p gamma_plus  (gamma_plus  - gamma_10) / (gamma_plus - gamma_minus)
         C_minus^2 = A Omega_p gamma_minus (gamma_minus - gamma_10) / (gamma_plus - gamma_minus)
 
-    by taking residues.  The returned parameters reproduce the exact curve to
-    machine precision; any larger deviation is a bug, not an approximation.
+    by taking residues, returned as a difference-form fit's ``parameters``.
+    They reproduce the exact curve to machine precision; any larger deviation
+    is a bug, not an approximation.
     """
     gp, gm = gamma_pm(p.gamma_10, p.gamma_20, p.control)
     if gp == gm:
@@ -174,24 +145,38 @@ def eit_decomposition(p: ExactModelParams) -> EitModelParams:
     scale = p.amplitude * p.probe
     cplus = scale * gp * (gp - p.gamma_10) / (gp - gm)
     cminus = scale * gm * (gm - p.gamma_10) / (gp - gm)
-    return EitModelParams(
-        cplus_sq=cplus, cminus_sq=max(cminus, 0.0), gamma_plus=gp, gamma_minus=gm
-    )
+    return {"cplus_sq": cplus, "cminus_sq": max(cminus, 0.0), "gamma_plus": gp,
+            "gamma_minus": gm}
 
 
-def eit_model(delta, p: EitModelParams):
-    """Difference-of-Lorentzians lineshape."""
+def _difference_columns(x2, gamma_plus, gamma_minus):
+    """The difference form's columns b = 1/(x2 + gamma_plus^2), b n and
+    n = 1/(x2 + gamma_minus^2) at squared detunings ``x2``, broadcast.  Its
+    curve C_plus^2 b - C_minus^2 n is fitted and drawn in the basis {b, b n},
+    as (C_plus^2 - C_minus^2) b + C_minus^2 (gamma_minus^2 - gamma_plus^2) b n,
+    which stays well conditioned as the widths coincide."""
+    broad, narrow = 1.0 / (x2 + gamma_plus**2), 1.0 / (x2 + gamma_minus**2)
+    return broad, broad * narrow, narrow
+
+
+def _doublet_column(x, gamma, delta_0):
+    """The doublet form's one column at detunings ``x``, broadcast."""
+    return 1.0 / ((x - delta_0) ** 2 + gamma**2) + 1.0 / ((x + delta_0) ** 2 + gamma**2)
+
+
+def eit_model(delta, p: dict):
+    """Difference-of-Lorentzians lineshape of a difference-form fit's
+    ``parameters`` (or :func:`eit_decomposition`'s), in the fit's basis."""
     d = np.asarray(delta, dtype=float)
-    out = p.cplus_sq / (d**2 + p.gamma_plus**2) - p.cminus_sq / (d**2 + p.gamma_minus**2)
+    gp, gm, cm = p["gamma_plus"], p["gamma_minus"], p["cminus_sq"]
+    broad, product, _ = _difference_columns(d**2, gp, gm)
+    out = (p["cplus_sq"] - cm) * broad + cm * (gm**2 - gp**2) * product
     return out if out.ndim else float(out)
 
 
-def ats_model(delta, p: AtsModelParams):
-    """Shifted-doublet lineshape."""
-    d = np.asarray(delta, dtype=float)
-    out = p.c_sq / ((d - p.delta_0) ** 2 + p.gamma**2) + p.c_sq / (
-        (d + p.delta_0) ** 2 + p.gamma**2
-    )
+def ats_model(delta, p: dict):
+    """Shifted-doublet lineshape of a doublet-form fit's ``parameters``."""
+    out = p["c_sq"] * _doublet_column(np.asarray(delta, dtype=float), p["gamma"], p["delta_0"])
     return out if out.ndim else float(out)
 
 

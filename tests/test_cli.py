@@ -18,10 +18,12 @@ import eitats
 from eitats import cli
 from eitats.cli import main
 from eitats.config import parse_config_text
-from eitats.fitting import fit_ats_model, fit_eit_model
-from eitats.io_utils import read_spectrum_csv, write_spectrum_csv
+from eitats.fitting import damped_sinusoid_curve, fit_ats_model, fit_eit_model
+from eitats.io_utils import (TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
+                             write_spectrum_csv)
 from eitats.lindblad import DriveConfig, ThreeLevelRates, steady_state
-from eitats.model_selection import weight_sweep
+from eitats.model_selection import aic, akaike_weights, crossing_threshold, weight_sweep
+from eitats.spectra import ExactModelParams, ats_model, eit_model, tprime_exact
 from eitats.synth import synth_spectrum
 
 M = 2.0 * math.pi * 1e6
@@ -416,6 +418,70 @@ rabi.points = 161
         cfg = cfg_file("units = MHz\nrates.gamma10 = 1\nrates.gamma20 = 1\n"
                        "rates.gamma21 = 1\ndrive.omega_c = 0\ndrive.omega_p = 0\n")
         assert run("rabi", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+
+
+class TestReportsReproduceThemselves:
+    """Each report's derived numbers follow from its own fields through the
+    library's public functions, on the README config."""
+
+    @pytest.fixture
+    def readme(self, cfg_file, tmp_path):
+        cfg, out = cfg_file(README_CFG), tmp_path / "out"
+
+        def make(*argv):
+            assert run(*argv, "--config", cfg, "--out", str(out)) == 0
+            return out
+        return make
+
+    @pytest.mark.parametrize("model", ["exact", "eit", "ats", "damped_sinusoid"])
+    def test_fit_parameters_redraw_the_residual(self, readme, model):
+        if model == "damped_sinusoid":
+            csv = readme("rabi") / "rabi_trace.csv"
+            data = read_trace_csv(csv)
+        else:
+            csv = readme("simulate", "--omega-c", "5.29", "--seed", "7") / "spectrum.csv"
+            data = read_spectrum_csv(csv)
+        doc = json.loads((readme("fit", "--model", model, "--input", str(csv))
+                          / f"fit_{model}.json").read_text())
+        p = {}
+        for key, value in doc["parameters"].items():
+            name, mhz, power = key.partition("_mhz")  # "_mhz" or "_mhz2"
+            p[name] = value * TWO_PI_MHZ ** int(power or 1) if mhz else value
+        rates = parse_config_text(README_CFG).three_level_rates()
+        curve = {
+            "exact": lambda x: tprime_exact(x, ExactModelParams(
+                p["amplitude"], 1.0, p["control"], rates.coherence_10, rates.coherence_20)),
+            "eit": lambda x: eit_model(x, p),
+            "ats": lambda x: ats_model(x, p),
+            "damped_sinusoid": lambda t: damped_sinusoid_curve(t, **p),
+        }[model](data.x)
+        r = data.y - curve
+        assert float(r @ r) == pytest.approx(doc["residual_sum"], rel=1e-12, abs=0.0)
+
+    def test_aic_report_follows_from_its_residuals(self, readme):
+        csv = readme("simulate", "--omega-c", "5.29", "--seed", "7") / "spectrum.csv"
+        doc = json.loads((readme("discriminate", "--input", str(csv))
+                          / "aic_report.json").read_text())
+        n = doc["n_points"]
+        assert doc["i_eit"] == aic(n, doc["r_eit"], doc["k_eit"])
+        assert doc["i_ats"] == aic(n, doc["r_ats"], doc["k_ats"])
+        assert (doc["ibar_eit"], doc["ibar_ats"]) == (doc["i_eit"] / n, doc["i_ats"] / n)
+        assert (doc["w_eit"], doc["w_ats"]) == akaike_weights(doc["i_eit"], doc["i_ats"])
+
+    def test_sweep_threshold_is_the_crossing_of_its_table(self, cfg_file, tmp_path):
+        cfg = cfg_file(README_CFG.replace("noise.seeds = 25", "noise.seeds = 2"))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--out", str(out)) == 0
+        table = np.loadtxt(out / "sweep.csv", delimiter=",", comments="#", skiprows=5)
+        doc = json.loads((out / "sweep.json").read_text())
+        crossing = crossing_threshold(table[:, 0], table[:, 1])
+        assert doc["omega_aic_mhz"] == pytest.approx(crossing.threshold, rel=1e-12, abs=0.0)
+        assert doc["multiple_crossings"] is crossing.multiple_crossings
+
+    def test_rabi_fit_times_are_its_parameters(self, readme):
+        doc = json.loads((readme("rabi", "--fit") / "rabi_fit.json").read_text())
+        assert doc["period_ns"] == doc["parameters"]["period"]
+        assert doc["decay_time_ns"] == doc["parameters"]["decay_time"]
 
 
 class TestUsageErrors:

@@ -19,7 +19,9 @@ from eitats.fitting import (
     nlls_minimize,
 )
 from eitats.fitting import _lstsq, _separable_fit, _solve
-from eitats.spectra import AtsModelParams, EitModelParams, ExactModelParams, tprime_exact
+from eitats.io_utils import TWO_PI_MHZ
+from eitats.lindblad import ThreeLevelRates, rabi_trace
+from eitats.spectra import ExactModelParams, ats_model, eit_model, tprime_exact
 from eitats.synth import default_detuning_grid, synth_spectrum
 
 G10, G20 = 1.76, 6.90  # scale-free units throughout
@@ -739,9 +741,7 @@ class TestFitInvariants:
         base = res.parameters
 
         def rss(params):
-            y = (params["cplus_sq"] / (data.x**2 + params["gamma_plus"] ** 2)
-                 - params["cminus_sq"] / (data.x**2 + params["gamma_minus"] ** 2))
-            r = data.y - y
+            r = data.y - eit_model(data.x, params)
             return float(r @ r)
 
         for key in base:
@@ -765,8 +765,51 @@ class TestFitInvariants:
                     assert fit.converged
                     assert fit.iterations < MAX_ITERATIONS
                     assert all(np.isfinite(v) for v in fit.parameters.values())
-                EitModelParams(**eit.parameters)
-                AtsModelParams(**ats.parameters)
+                p, q = eit.parameters, ats.parameters
+                assert p["gamma_plus"] > p["gamma_minus"] > 0
+                assert p["cplus_sq"] >= 0 and p["cminus_sq"] >= 0
+                assert q["gamma"] > 0 and q["delta_0"] >= 0 and q["c_sq"] >= 0
+
+
+class TestRedraw:
+    """Every fit, redrawn from its ``parameters`` with its family's public curve
+    function, leaves its own ``residual_sum`` to 1e-12 (relative), also the
+    difference-form fits on the ``MIN_SPLIT`` floor: README rates, controls
+    0.5-20 MHz in 0.5 MHz steps with 5 noise seeds each, and 25 noisy Rabi
+    traces at probes 3-40 MHz."""
+
+    RATES = ThreeLevelRates(relax_10=3.52 * TWO_PI_MHZ, relax_20=6.90 * TWO_PI_MHZ,
+                            relax_21=6.90 * TWO_PI_MHZ)
+
+    @staticmethod
+    def assert_redraws(fit, y, curve):
+        r = y - curve
+        assert abs(float(r @ r) - fit.residual_sum) <= 1e-12 * fit.residual_sum
+
+    def test_spectrum_fits(self):
+        g10, g20 = self.RATES.coherence_10, self.RATES.coherence_20
+        controls = np.arange(0.5, 20.01, 0.5) * TWO_PI_MHZ
+        stack = synth_spectrum(g10, g20, np.repeat(controls, 5), noise_sigma=0.03,
+                               seed_parts=[(i, seed) for i in range(controls.size)
+                                           for seed in range(5)])
+        eit, ats = fit_reduced_forms(stack)
+        exact = fit_exact_tprime_auto(stack, g10, g20)
+        floor = sum(f.parameters["gamma_plus"] / f.parameters["gamma_minus"] - 1.0
+                    < 2 * fitting.MIN_SPLIT for f in eit)
+        assert floor > 100  # most difference-form fits sit on the floor
+        for y, e, a, t in zip(stack.y, eit, ats, exact):
+            self.assert_redraws(e, y, eit_model(stack.x, e.parameters))
+            self.assert_redraws(a, y, ats_model(stack.x, a.parameters))
+            self.assert_redraws(t, y, tprime_exact(stack.x, ExactModelParams(
+                t.parameters["amplitude"], 1.0, t.parameters["control"], g10, g20)))
+
+    def test_damped_sinusoid_fits(self):
+        for k, probe in enumerate(np.linspace(3.0, 40.0, 25) * TWO_PI_MHZ):
+            times = np.linspace(0.0, 8.0 * np.pi / probe, 161)
+            trace = rabi_trace(self.RATES, probe, times)
+            trace = trace + np.random.default_rng(k).normal(0.0, 0.03 * trace.max(), trace.size)
+            fit = fit_damped_sinusoid(Dataset(x=times * 1e9, y=trace))
+            self.assert_redraws(fit, trace, damped_sinusoid_curve(times * 1e9, **fit.parameters))
 
 
 SPECTRUM_FAMILIES = ("exact", "eit", "ats")

@@ -291,6 +291,14 @@ class TestCrossingThreshold:
         with pytest.raises(NoCrossing):
             crossing_threshold(np.array([1.0, 2.0]), np.array([np.nan, np.nan]))
 
+    def test_threshold_is_the_first_fall_through_one_half(self):
+        # a rise through 0.5 is no threshold; only the fall from EIT to ATS is
+        with pytest.raises(NoCrossing, match="^weight curve never falls through 0.5$"):
+            crossing_threshold(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.4, 0.6]))
+        res = crossing_threshold(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.4, 0.6, 0.7, 0.2]))
+        assert res.threshold == pytest.approx(3.4, rel=1e-12)
+        assert res.multiple_crossings
+
     def test_no_crossing(self):
         with pytest.raises(NoCrossing):
             crossing_threshold(np.array([1.0, 2.0]), np.array([0.9, 0.8]))

@@ -14,9 +14,7 @@ from eitats.lindblad import (
     populations_analytic,
 )
 from eitats.spectra import (
-    AtsModelParams,
     ComplexRoots,
-    EitModelParams,
     ExactModelParams,
     ImaginarySplitting,
     ats_model,
@@ -179,19 +177,19 @@ class TestEitDecomposition:
             control = rng.uniform(0.0, 0.499) * (g20 - g10)
             p = params(control, amplitude=rng.uniform(0.1, 10), g10=g10, g20=g20)
             dec = eit_decomposition(p)
-            assert dec.cplus_sq > 0
-            assert dec.cminus_sq >= 0
+            assert dec["cplus_sq"] > 0
+            assert dec["cminus_sq"] >= 0
             exact = tprime_exact(delta, p)
             assert np.max(np.abs(eit_model(delta, dec) - exact)) < 1e-12 * np.max(exact)
 
     def test_narrow_dip_vanishes_without_control(self):
         dec = eit_decomposition(params(1e-5))
-        assert dec.cminus_sq < 1e-9 * dec.cplus_sq
+        assert dec["cminus_sq"] < 1e-9 * dec["cplus_sq"]
 
     def test_paper_point_amplitudes(self):
         dec = eit_decomposition(params(2.06))
-        assert dec.cplus_sq == pytest.approx(7.839217011379248, rel=1e-9)
-        assert dec.cminus_sq == pytest.approx(0.9392170113792477, rel=1e-9)
+        assert dec["cplus_sq"] == pytest.approx(7.839217011379248, rel=1e-9)
+        assert dec["cminus_sq"] == pytest.approx(0.9392170113792477, rel=1e-9)
 
     def test_outside_window_raises(self):
         with pytest.raises(ComplexRoots):
@@ -204,13 +202,13 @@ class TestEitDecomposition:
 class TestReducedModels:
     def test_eit_perfect_transparency_point(self):
         # amplitudes chosen with cplus_sq/gamma_plus^2 == cminus_sq/gamma_minus^2
-        p = EitModelParams(cplus_sq=4.0, cminus_sq=0.25,
-                           gamma_plus=2.0, gamma_minus=0.5)
-        assert eit_model(0.0, p) == 0.0
+        p = {"cplus_sq": 4.0, "cminus_sq": 0.25, "gamma_plus": 2.0, "gamma_minus": 0.5}
+        assert eit_model(0.0, p) == 0.0 and type(eit_model(0.0, p)) is float
 
     def test_ats_symmetry(self):
-        p = AtsModelParams(c_sq=1.3, gamma=2.2, delta_0=7.7)
-        assert ats_model(p.delta_0, p) == ats_model(-p.delta_0, p)
+        p = {"c_sq": 1.3, "gamma": 2.2, "delta_0": 7.7}
+        assert ats_model(p["delta_0"], p) == ats_model(-p["delta_0"], p)
+        assert type(ats_model(p["delta_0"], p)) is float
 
     def test_ats_approximation_improves_with_control(self):
         rel_errors = []
@@ -223,12 +221,6 @@ class TestReducedModels:
             rel_errors.append(np.sqrt(fit.residual_sum / float(curve @ curve)))
         assert all(a > b for a, b in zip(rel_errors, rel_errors[1:]))
 
-    def test_model_param_validation(self):
-        with pytest.raises(ValueError):
-            EitModelParams(cplus_sq=1, cminus_sq=1, gamma_plus=1.0, gamma_minus=2.0)
-        with pytest.raises(ValueError):
-            AtsModelParams(c_sq=1, gamma=-1.0, delta_0=0.0)
-
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: populations_analytic(ThreeLevelRates(0.0, 0.0, 0.0, dephase_00=1.0),
@@ -240,13 +232,8 @@ class TestReducedModels:
     (lambda: params(1.0, amplitude=0.0), ValueError, "amplitude must be > 0"),
     (lambda: params(1.0, g20=0.0), ValueError, "coherence rates must be > 0"),
     (lambda: params(-1.0), ValueError, "drive strengths must be >= 0"),
-    (lambda: EitModelParams(cplus_sq=1.0, cminus_sq=-1.0, gamma_plus=2.0, gamma_minus=1.0),
-     ValueError, "squared amplitudes must be >= 0"),
-    (lambda: AtsModelParams(c_sq=1.0, gamma=1.0, delta_0=-1.0),
-     ValueError, "delta_0 must be >= 0"),
-    (lambda: AtsModelParams(c_sq=-1.0, gamma=1.0, delta_0=0.0), ValueError, "c_sq must be >= 0"),
 ], ids=["populations-gamma_21", "coherence-pole", "exact-amplitude", "exact-rates",
-        "exact-drive", "eit-amplitudes", "ats-delta_0", "ats-c_sq"])
+        "exact-drive"])
 def test_guard_raises(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         build()
