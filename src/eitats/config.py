@@ -28,8 +28,9 @@ import numpy as np
 
 from .io_utils import HZ_PER_MHZ, TWO_PI_MHZ
 from .lindblad import DriveConfig, ThreeLevelRates
+from .model_selection import DEFAULT_N_SEEDS
 from .readout import CavitySpec
-from .synth import default_detuning_grid
+from .synth import DEFAULT_N_POINTS, default_detuning_grid
 from .transmon import TransmonSpec
 
 __all__ = [
@@ -95,7 +96,7 @@ class DriveBlock:
     omega_p: float | None = _key("freq", (">=", 0), None)
     delta: float = _key("freq", None, 0.0)
     delta_span: float | None = _key("freq", (">", 0), None)
-    delta_points: int = _key("int", (">=", 2), 61)
+    delta_points: int = _key("int", (">=", 2), DEFAULT_N_POINTS)
     omega_c_grid: tuple = _key("freq_list", (">=", 0, "ascending"), ())
 
 
@@ -110,7 +111,7 @@ class CavityBlock:
 @dataclass(frozen=True)
 class NoiseBlock:
     sigma: float = _key("plain", (">=", 0), 0.0)
-    seeds: int = _key("int", (">", 0), 25)
+    seeds: int = _key("int", (">", 0), DEFAULT_N_SEEDS)
     seed: int = _key("int", (">=", 0), 0)
 
 

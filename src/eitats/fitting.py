@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectra import _difference_columns, _doublet_column, _tprime
+from .spectra import _check_exact, _difference_columns, _doublet_column, _tprime
 
 __all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimize",
            "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_reduced_forms",
@@ -374,8 +374,7 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
     multimodal once the doublet splits, so the start is the best of a fixed
     geometric grid of controls, plus ``control_hint`` when given.
     """
-    if not (gamma_10 > 0 and gamma_20 > 0):
-        raise ValueError("coherence rates must be > 0")
+    _check_exact(gamma_10, gamma_20)
 
     def project(u, y):
         control = _exp(u[..., 0])

@@ -1,6 +1,8 @@
 """Akaike-information-criterion discrimination of the two reduced lineshapes.
 
-For a fit with residual sum R over N points and k parameters the information
+For a fit with residual sum R over N points and k parameters (the fit's own
+``n_params``: four for the difference form and three for the doublet, after
+Anisimov, Dowling & Sanders, PRL 107, 163604 (2011)) the information
 loss is I = N ln(R/N) + 2k, with per-point value Ibar = I/N.  Relative model
 likelihoods follow from the standard Akaike weights exp(-I/2), normalized over
 the candidate pair; an exact fit (R = 0) carries a -inf sentinel and takes
@@ -30,10 +32,9 @@ from .synth import synth_spectrum
 
 __all__ = ["AicReport", "WeightSweepResult", "CrossingResult", "NonPositiveResidual",
            "NoCrossing", "aic", "akaike_weights", "discriminate", "weight_sweep",
-           "crossing_threshold", "K_EIT", "K_ATS"]
+           "crossing_threshold"]
 
-K_EIT = 4
-K_ATS = 3
+DEFAULT_N_SEEDS = 25
 
 
 class NonPositiveResidual(ArithmeticError):
@@ -50,8 +51,8 @@ class AicReport:
 
     ``w_eit``/``w_ats`` are the Akaike weights of the total losses (these are
     the saturating classification weights); the per-point losses are carried
-    alongside for scale-free comparisons, and each fit's convergence flag and
-    iteration count with them.
+    alongside for scale-free comparisons, and each fit's convergence flag,
+    iteration count and parameter count k with them.
     """
 
     i_eit: float
@@ -67,8 +68,8 @@ class AicReport:
     converged_ats: bool
     iterations_eit: int
     iterations_ats: int
-    k_eit: int = K_EIT
-    k_ats: int = K_ATS
+    k_eit: int
+    k_ats: int
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,15 @@ def discriminate(data: Dataset, eit_fit: FitResult | None = None,
     if eit_fit is None or ats_fit is None:
         eit_fit, ats_fit = fit_reduced_forms(data)
     n = len(data)
-    i_eit, i_ats = aic(n, eit_fit.residual_sum, K_EIT), aic(n, ats_fit.residual_sum, K_ATS)
+    i_eit, i_ats = (aic(n, fit.residual_sum, fit.n_params) for fit in (eit_fit, ats_fit))
     return AicReport(i_eit, i_ats, i_eit / n, i_ats / n, *akaike_weights(i_eit, i_ats), n,
                      eit_fit.residual_sum, ats_fit.residual_sum, eit_fit.converged,
-                     ats_fit.converged, eit_fit.iterations, ats_fit.iterations)
+                     ats_fit.converged, eit_fit.iterations, ats_fit.iterations,
+                     eit_fit.n_params, ats_fit.n_params)
 
 
 def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
-                 noise_sigma: float = 0.03, n_seeds: int = 25,
+                 noise_sigma: float = 0.03, n_seeds: int = DEFAULT_N_SEEDS,
                  detunings: np.ndarray | None = None,
                  base_seed: int = 0) -> WeightSweepResult:
     """Seed-averaged model weights across a control-strength grid.

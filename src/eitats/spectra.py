@@ -18,11 +18,12 @@ detuning.  Its pole structure splits the parameter space in two:
 The two reduced forms are the models the fit/classification pipeline
 discriminates between.  Each form's columns are written once, in
 ``_difference_columns`` and ``_doublet_column``: the fits in
-:mod:`eitats.fitting` project onto them, and :func:`eit_model` and
-:func:`ats_model` redraw a fit from its ``parameters`` dict with them, so a
-redrawn curve's residual is the fit's ``residual_sum``.  All rates and
-detunings are angular (rad/s); the reduced models carry their own overall
-amplitudes, absorbing A * Omega_p.
+:mod:`eitats.fitting` project onto them.  Every curve function takes a fit's
+``parameters`` dict, so a redrawn curve's residual is the fit's
+``residual_sum``: :func:`eit_model` and :func:`ats_model` for the reduced
+forms, and :func:`tprime_exact` for the exact curve, whose ``amplitude`` is
+the combined A * Omega_p and whose rates are the ones the fit held fixed.
+All rates and detunings are angular (rad/s).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ExactModelParams",
     "EitWindow",
     "ComplexRoots",
     "ImaginarySplitting",
@@ -55,31 +55,22 @@ class ImaginarySplitting(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ExactModelParams:
-    """Parameters of the exact transmission curve (all angular, rad/s)."""
-
-    amplitude: float
-    probe: float
-    control: float
-    gamma_10: float
-    gamma_20: float
-
-    def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be > 0")
-        if self.gamma_10 <= 0 or self.gamma_20 <= 0:
-            raise ValueError("coherence rates must be > 0")
-        if self.probe < 0 or self.control < 0:
-            raise ValueError("drive strengths must be >= 0")
-
-
-@dataclass(frozen=True)
 class EitWindow:
     """Control-drive window (rad/s) in which a dark state can form."""
 
     lower: float
     upper: float
     feasible: bool
+
+
+def _check_exact(gamma_10, gamma_20, control=0.0, amplitude=0.0):
+    """Reject the exact curve's inputs that no spectrum has, naming each."""
+    if not (gamma_10 > 0 and gamma_20 > 0):
+        raise ValueError("coherence rates must be > 0")
+    if not control >= 0:
+        raise ValueError("drive strengths must be >= 0")
+    if not amplitude >= 0:
+        raise ValueError("amplitude must be >= 0")
 
 
 def _tprime(d, scale, control, gamma_10, gamma_20):
@@ -90,10 +81,13 @@ def _tprime(d, scale, control, gamma_10, gamma_20):
     return scale * width / (shift**2 + width**2)
 
 
-def tprime_exact(delta, p: ExactModelParams):
-    """Exact normalized transmission at detuning(s) ``delta`` (rad/s)."""
-    out = _tprime(np.asarray(delta, dtype=float), p.amplitude * p.probe, p.control,
-                  p.gamma_10, p.gamma_20)
+def tprime_exact(delta, p: dict, gamma_10: float, gamma_20: float):
+    """Exact normalized transmission at detuning(s) ``delta`` (rad/s) of an
+    exact fit's ``parameters``: the combined ``amplitude`` (A * Omega_p) and
+    the ``control``, under the rates the fit held fixed."""
+    _check_exact(gamma_10, gamma_20, p["control"], p["amplitude"])
+    out = _tprime(np.asarray(delta, dtype=float), p["amplitude"], p["control"], gamma_10,
+                  gamma_20)
     return out if out.ndim else float(out)
 
 
@@ -126,11 +120,12 @@ def delta0(gamma_10: float, gamma_20: float, control: float) -> float:
     return 0.5 * np.sqrt(disc)
 
 
-def eit_decomposition(p: ExactModelParams) -> dict:
-    """Exact partial-fraction split of the transmission curve.
+def eit_decomposition(p: dict, gamma_10: float, gamma_20: float) -> dict:
+    """Exact partial-fraction split of the transmission curve that
+    :func:`tprime_exact` draws from the same arguments.
 
     Inside the window (control strictly below (gamma_20 - gamma_10)/2) the
-    exact curve factorizes over poles i*gamma_plus and i*gamma_minus, giving
+    curve factorizes over poles i*gamma_plus and i*gamma_minus, giving
 
         C_plus^2  = A Omega_p gamma_plus  (gamma_plus  - gamma_10) / (gamma_plus - gamma_minus)
         C_minus^2 = A Omega_p gamma_minus (gamma_minus - gamma_10) / (gamma_plus - gamma_minus)
@@ -139,12 +134,12 @@ def eit_decomposition(p: ExactModelParams) -> dict:
     They reproduce the exact curve to machine precision; any larger deviation
     is a bug, not an approximation.
     """
-    gp, gm = gamma_pm(p.gamma_10, p.gamma_20, p.control)
+    _check_exact(gamma_10, gamma_20, p["control"], p["amplitude"])
+    gp, gm = gamma_pm(gamma_10, gamma_20, p["control"])
     if gp == gm:
         raise ComplexRoots("degenerate pole widths: control is at the regime boundary")
-    scale = p.amplitude * p.probe
-    cplus = scale * gp * (gp - p.gamma_10) / (gp - gm)
-    cminus = scale * gm * (gm - p.gamma_10) / (gp - gm)
+    cplus = p["amplitude"] * gp * (gp - gamma_10) / (gp - gm)
+    cminus = p["amplitude"] * gm * (gm - gamma_10) / (gp - gm)
     return {"cplus_sq": cplus, "cminus_sq": max(cminus, 0.0), "gamma_plus": gp,
             "gamma_minus": gm}
 
@@ -190,8 +185,7 @@ def eit_window(gamma_10: float, gamma_20: float) -> EitWindow:
 
     and are returned even when infeasible, with the flag set accordingly.
     """
-    if gamma_10 <= 0 or gamma_20 <= 0:
-        raise ValueError("coherence rates must be > 0")
+    _check_exact(gamma_10, gamma_20)
     lower = gamma_10 * np.sqrt(gamma_10 / (2.0 * gamma_10 + gamma_20))
     upper = 0.5 * (gamma_20 - gamma_10)
     return EitWindow(lower=lower, upper=upper, feasible=gamma_20 > 2.0 * gamma_10)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fitting import Dataset
 from .io_utils import TWO_PI_MHZ
-from .spectra import ExactModelParams, _tprime
+from .spectra import _check_exact, _tprime
 
 __all__ = ["cell_rng", "add_noise", "synth_spectrum", "default_detuning_grid"]
 
@@ -51,14 +51,15 @@ def synth_spectrum(gamma_10: float, gamma_20: float, control,
 
     With ``noise_sigma = 0`` the values are bit-identical to
     :func:`eitats.spectra.tprime_exact` at amplitude one over the peak of the
-    amplitude-1 curve.  A 1-D array of controls, with one ``seed_parts`` tuple
-    each, gives the stack of their curves, each row as its own call gives it.
+    amplitude-1 curve, whose rates and controls are checked as that function
+    checks them.  A 1-D array of controls, with one ``seed_parts`` tuple each,
+    gives the stack of their curves, each row as its own call gives it.
     """
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0 (got {noise_sigma})")
     detunings = default_detuning_grid() if detunings is None else np.asarray(detunings, float)
     column = np.asarray(control, dtype=float).reshape(-1, 1)
-    ExactModelParams(1.0, 1.0, float(np.min(column)), gamma_10, gamma_20)  # checks rates, drives
+    _check_exact(gamma_10, gamma_20, np.min(column))
     peak = np.max(_tprime(detunings, 1.0, column, gamma_10, gamma_20), axis=-1, keepdims=True)
     values = _tprime(detunings, 1.0 / peak, column, gamma_10, gamma_20)
     seeds = seed_parts if np.ndim(control) else [seed_parts]

@@ -18,12 +18,12 @@ import eitats
 from eitats import cli
 from eitats.cli import main
 from eitats.config import parse_config_text
-from eitats.fitting import damped_sinusoid_curve, fit_ats_model, fit_eit_model
+from eitats.fitting import Dataset, damped_sinusoid_curve, fit_ats_model, fit_eit_model
 from eitats.io_utils import (TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
                              write_spectrum_csv)
 from eitats.lindblad import DriveConfig, ThreeLevelRates, steady_state
 from eitats.model_selection import aic, akaike_weights, crossing_threshold, weight_sweep
-from eitats.spectra import ExactModelParams, ats_model, eit_model, tprime_exact
+from eitats.spectra import ats_model, eit_model, tprime_exact
 from eitats.synth import synth_spectrum
 
 M = 2.0 * math.pi * 1e6
@@ -433,14 +433,10 @@ class TestReportsReproduceThemselves:
             return out
         return make
 
-    @pytest.mark.parametrize("model", ["exact", "eit", "ats", "damped_sinusoid"])
-    def test_fit_parameters_redraw_the_residual(self, readme, model):
-        if model == "damped_sinusoid":
-            csv = readme("rabi") / "rabi_trace.csv"
-            data = read_trace_csv(csv)
-        else:
-            csv = readme("simulate", "--omega-c", "5.29", "--seed", "7") / "spectrum.csv"
-            data = read_spectrum_csv(csv)
+    @staticmethod
+    def assert_redraws(readme, model, csv, data):
+        """``fit --model model`` of ``csv``: its parameters, converted back from
+        MHz, redraw ``data`` to the report's ``residual_sum``."""
         doc = json.loads((readme("fit", "--model", model, "--input", str(csv))
                           / f"fit_{model}.json").read_text())
         p = {}
@@ -449,14 +445,32 @@ class TestReportsReproduceThemselves:
             p[name] = value * TWO_PI_MHZ ** int(power or 1) if mhz else value
         rates = parse_config_text(README_CFG).three_level_rates()
         curve = {
-            "exact": lambda x: tprime_exact(x, ExactModelParams(
-                p["amplitude"], 1.0, p["control"], rates.coherence_10, rates.coherence_20)),
+            "exact": lambda x: tprime_exact(x, p, rates.coherence_10, rates.coherence_20),
             "eit": lambda x: eit_model(x, p),
             "ats": lambda x: ats_model(x, p),
             "damped_sinusoid": lambda t: damped_sinusoid_curve(t, **p),
         }[model](data.x)
         r = data.y - curve
         assert float(r @ r) == pytest.approx(doc["residual_sum"], rel=1e-12, abs=0.0)
+        return doc
+
+    @pytest.mark.parametrize("model", ["exact", "eit", "ats", "damped_sinusoid"])
+    def test_fit_parameters_redraw_the_residual(self, readme, model):
+        if model == "damped_sinusoid":
+            csv = readme("rabi") / "rabi_trace.csv"
+            data = read_trace_csv(csv)
+        else:
+            csv = readme("simulate", "--omega-c", "5.29", "--seed", "7") / "spectrum.csv"
+            data = read_spectrum_csv(csv)
+        self.assert_redraws(readme, model, csv, data)
+
+    def test_low_signal_exact_fit_redraws_the_residual(self, readme, tmp_path):
+        # a negated spectrum: the exact fit's amplitude is 0 and its curve zero
+        spectrum = synth_spectrum(1.76 * M, 6.90 * M, 2.06 * M, noise_sigma=0.03, seed_parts=(1,))
+        csv = tmp_path / "negated.csv"
+        write_spectrum_csv(csv, Dataset(x=spectrum.x, y=-spectrum.y), {})
+        doc = self.assert_redraws(readme, "exact", csv, read_spectrum_csv(csv))
+        assert doc["warnings"] == ["low_signal"] and doc["parameters"]["amplitude"] == 0.0
 
     def test_aic_report_follows_from_its_residuals(self, readme):
         csv = readme("simulate", "--omega-c", "5.29", "--seed", "7") / "spectrum.csv"

@@ -21,7 +21,7 @@ from eitats.fitting import (
 from eitats.fitting import _lstsq, _separable_fit, _solve
 from eitats.io_utils import TWO_PI_MHZ
 from eitats.lindblad import ThreeLevelRates, rabi_trace
-from eitats.spectra import ExactModelParams, ats_model, eit_model, tprime_exact
+from eitats.spectra import ats_model, eit_model, tprime_exact
 from eitats.synth import default_detuning_grid, synth_spectrum
 
 G10, G20 = 1.76, 6.90  # scale-free units throughout
@@ -30,9 +30,7 @@ G10, G20 = 1.76, 6.90  # scale-free units throughout
 def exact_curve(control, delta=None, amplitude=1.0):
     if delta is None:
         delta = np.linspace(-25.0, 25.0, 61)
-    p = ExactModelParams(amplitude=amplitude, probe=1.0, control=control,
-                         gamma_10=G10, gamma_20=G20)
-    return delta, tprime_exact(delta, p)
+    return delta, tprime_exact(delta, {"amplitude": amplitude, "control": control}, G10, G20)
 
 
 def noisy_spectrum(control, seed, sigma=0.03):
@@ -775,8 +773,8 @@ class TestRedraw:
     """Every fit, redrawn from its ``parameters`` with its family's public curve
     function, leaves its own ``residual_sum`` to 1e-12 (relative), also the
     difference-form fits on the ``MIN_SPLIT`` floor: README rates, controls
-    0.5-20 MHz in 0.5 MHz steps with 5 noise seeds each, and 25 noisy Rabi
-    traces at probes 3-40 MHz."""
+    0.5-20 MHz in 0.5 MHz steps with 5 noise seeds each, 25 noisy Rabi traces
+    at probes 3-40 MHz, and a low-signal exact fit of amplitude 0."""
 
     RATES = ThreeLevelRates(relax_10=3.52 * TWO_PI_MHZ, relax_20=6.90 * TWO_PI_MHZ,
                             relax_21=6.90 * TWO_PI_MHZ)
@@ -800,8 +798,16 @@ class TestRedraw:
         for y, e, a, t in zip(stack.y, eit, ats, exact):
             self.assert_redraws(e, y, eit_model(stack.x, e.parameters))
             self.assert_redraws(a, y, ats_model(stack.x, a.parameters))
-            self.assert_redraws(t, y, tprime_exact(stack.x, ExactModelParams(
-                t.parameters["amplitude"], 1.0, t.parameters["control"], g10, g20)))
+            self.assert_redraws(t, y, tprime_exact(stack.x, t.parameters, g10, g20))
+
+    def test_low_signal_exact_fit(self):
+        # no positive amplitude improves on the zero curve of a negated spectrum,
+        # and the fit's amplitude-0 parameters redraw that curve
+        g10, g20 = self.RATES.coherence_10, self.RATES.coherence_20
+        data = synth_spectrum(g10, g20, 2.06 * TWO_PI_MHZ, noise_sigma=0.03, seed_parts=(1,))
+        fit = fit_exact_tprime_auto(Dataset(x=data.x, y=-data.y), g10, g20)
+        assert fit.warnings == ("low_signal",) and fit.parameters["amplitude"] == 0.0
+        self.assert_redraws(fit, -data.y, tprime_exact(data.x, fit.parameters, g10, g20))
 
     def test_damped_sinusoid_fits(self):
         for k, probe in enumerate(np.linspace(3.0, 40.0, 25) * TWO_PI_MHZ):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitats import fitting, model_selection
@@ -19,7 +19,7 @@ from eitats.model_selection import (
     akaike_weights,
     weight_sweep,
 )
-from eitats.synth import synth_spectrum
+from eitats.synth import default_detuning_grid, synth_spectrum
 
 # angular units: rad/s with the grid span in the same scale
 M = 2.0 * np.pi * 1e6
@@ -317,3 +317,49 @@ class TestCrossingThreshold:
         res = weight_sweep(G10, G20, grid, noise_sigma=0.0, n_seeds=1)
         crossing = crossing_threshold(grid, res.w_eit_mean)
         assert crossing.threshold > 0.5 * (G20 - G10)
+
+
+class TestScaleLaw:
+    """The exact lineshape and both reduced forms depend on detunings, control
+    and rates only through their ratios, and every fit's start grid and floor
+    is relative.  So scaling the rates, the control grid and the detunings by
+    one factor c should scale the weight crossing by c.  Where the minimizer
+    stops is not unit-free on every spectrum (a difference-form fit can stop
+    short near ``MIN_SPLIT`` in one unit and not in another), so the sweep is
+    checked on the benchmark's own cells, and random rates check the spectra
+    that the fits see."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(log_c=st.floats(math.log(0.1), math.log(10.0)))
+    def test_benchmark_cells_in_any_units(self, log_c):
+        # the README sweep's rates, span and grid, and its first 3 seeds at base
+        # seed 0: each cell's weight within 1e-6, the crossing within 1e-9
+        # (relative), and no crossing on the window's side of the grid either way
+        c = math.exp(log_c)
+        grid, detunings = np.linspace(2.0, 8.0, 13) * M, default_detuning_grid(61, 25 * M)
+        a, b = (weight_sweep(s * G10, s * G20, s * grid, noise_sigma=0.03, n_seeds=3,
+                             detunings=s * detunings) for s in (1.0, c))
+        np.testing.assert_allclose(b.w_eit, a.w_eit, rtol=0.0, atol=1e-6)
+        assert (b.n_failed == a.n_failed).all()
+        crossings = [crossing_threshold(s.control_grid, s.w_eit_mean) for s in (a, b)]
+        assert crossings[1].threshold / c == pytest.approx(crossings[0].threshold, rel=1e-9)
+        assert crossings[1].multiple_crossings is crossings[0].multiple_crossings
+        for s in (a, b):
+            with pytest.raises(NoCrossing):
+                crossing_threshold(s.control_grid[:4], s.w_eit_mean[:4])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g10=st.floats(0.5, 5.0), ratio=st.floats(2.01, 8.0), span=st.floats(2.0, 8.0),
+           log_c=st.floats(math.log(0.1), math.log(10.0)), seed=st.integers(0, 2**16))
+    def test_spectra_in_any_units(self, g10, ratio, span, log_c, seed):
+        # feasible rates (gamma_20 > 2 gamma_10) in MHz, a 13-point control grid
+        # across the window and a span in units of gamma_20: the peak-normalized
+        # noisy spectra a sweep fits do not depend on c
+        c, g10 = math.exp(log_c), g10 * M
+        g20 = ratio * g10
+        grid = np.linspace(0.4, 3.0, 13) * 0.5 * (g20 - g10)
+        detunings = default_detuning_grid(61, span * g20)
+        seeds = [(seed, i) for i in range(grid.size)]
+        a, b = (synth_spectrum(s * g10, s * g20, s * grid, s * detunings, noise_sigma=0.03,
+                               seed_parts=seeds) for s in (1.0, c))
+        np.testing.assert_allclose(b.y, a.y, rtol=0.0, atol=1e-13)
