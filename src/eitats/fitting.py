@@ -129,7 +129,10 @@ def _solve(m, b):
 
 
 def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
-    """Minimize sum of squared residuals of ``model(x, p)`` against the data.
+    """Minimize the sum of squared residuals of ``model(x, p, rows)`` against
+    the data: the curves of the cells ``rows`` (which may repeat) at the
+    parameters ``p``, one row each.  ``init`` is ``(n,)`` for one curve and
+    ``(cells, n)`` for a stack.
 
     Levenberg-Marquardt damping on the Gauss-Newton normal equations with a
     numerically differenced (central) Jacobian.  A rejected trial raises the
@@ -151,16 +154,12 @@ def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
     so after accepted steps has reached a stationary point.  Parameters are
     reported as ``p0, p1, ...``.
 
-    For a stack, ``init`` is ``(cells, n)`` and ``model(x, p, rows)`` gives the
-    curves of the cells ``rows`` (which may repeat) at the parameters ``p``.
     In one flat loop, each cell still iterating makes one trial per model call
     and starts its next iteration as soon as a trial is accepted.
     """
     p = np.array(init, dtype=float, ndmin=2)
     cells, n_par = p.shape
     _check_size(data, n_par)
-    if data.y.ndim == 1:
-        model = (lambda one: lambda x, q, rows: np.array([one(x, qi) for qi in q]))(model)
     x, y = data.x, data.y.reshape(cells, -1)
     errors, eye, copies = {}, np.eye(n_par), 1 + 2 * n_par
     shifts = np.array([sign * eye[k] for k in range(n_par) for sign in (1, -1)])[:, None]

@@ -59,7 +59,7 @@ class TestMinimizer:
     def test_linear_model_recovery(self):
         x = np.linspace(1.0, 5.0, 20)
         data = Dataset(x=x, y=3.7 * x)
-        res = nlls_minimize(lambda xv, p: p[0] * xv, data, [0.5])
+        res = nlls_minimize(lambda xv, p, rows: p[:, :1] * xv, data, [0.5])
         assert res.converged
         assert res.parameters["p0"] == pytest.approx(3.7, rel=1e-10)
         # a linear model's gain ratio is one, so each step cuts the damping tenfold
@@ -72,7 +72,8 @@ class TestMinimizer:
                               [[0.5], [0.5], [2.0]])
         assert isinstance(batch, FitBatch) and batch.converged
         for fit, slope, start in zip(batch, slopes[:, 0], (0.5, 0.5, 2.0)):
-            assert fit == nlls_minimize(lambda xv, p: p[0] * xv, Dataset(x=x, y=slope * x), [start])
+            assert fit == nlls_minimize(lambda xv, p, rows: p[:, :1] * xv,
+                                        Dataset(x=x, y=slope * x), [start])
             assert fit.parameters["p0"] == pytest.approx(slope, rel=1e-10)
         assert batch.iterations == max(fit.iterations for fit in batch)
 
@@ -131,7 +132,7 @@ class TestMinimizer:
         assert all(n > fit.iterations for n, fit in zip(trials[1:], batch[1:]))
         assert len(calls) == 1 + max(trials)
         for fit, row, p0 in zip(batch, y, start):
-            assert fit == nlls_minimize(lambda xv, p: p[0] * np.exp(-p[1] * xv),
+            assert fit == nlls_minimize(lambda xv, p, rows: p[:, :1] * np.exp(-p[:, 1:] * xv),
                                         Dataset(x=x, y=row), p0)
 
     def test_zero_predicted_reduction_counts_as_full_gain(self):
@@ -142,9 +143,9 @@ class TestMinimizer:
         x = np.arange(4.0)
         calls = []
 
-        def model(xv, p):
+        def model(xv, p, rows):
             calls.append(p)
-            return (p[0] + p[1]) * xv - 5.0 * (len(calls) == 1) * (xv == 0.0)
+            return (p[:, :1] + p[:, 1:]) * xv - 5.0 * (len(calls) == 1) * (xv == 0.0)
 
         res = nlls_minimize(model, Dataset(x=x, y=2.0 * x), [1.0, 1.0])
         assert res.converged and res.iterations == 2 and res.residual_sum == 0.0
@@ -199,13 +200,15 @@ class TestMinimizer:
     def test_insensitive_model_raises(self):
         x = np.linspace(1.0, 5.0, 20)
         with pytest.raises(SingularJacobian, match="^model is insensitive to every parameter$"):
-            nlls_minimize(lambda xv, p: np.exp(-xv), Dataset(x=x, y=x), [1.0])
+            nlls_minimize(lambda xv, p, rows: np.exp(-xv) * np.ones_like(p), Dataset(x=x, y=x),
+                          [1.0])
 
     def test_non_finite_jacobian_raises(self):
         # finite at p0 = 1, the edge of its domain, but NaN one difference step past it
         x = np.linspace(1.0, 5.0, 20)
         with pytest.raises(SingularJacobian, match="^Jacobian is not finite$"):
-            nlls_minimize(lambda xv, p: np.sqrt(1.0 - p[0]) * xv, Dataset(x=x, y=x), [1.0])
+            nlls_minimize(lambda xv, p, rows: np.sqrt(1.0 - p[:, :1]) * xv, Dataset(x=x, y=x),
+                          [1.0])
 
     def test_insensitive_cell_fails_alone_in_a_stack(self):
         x = np.linspace(1.0, 5.0, 20)
@@ -218,7 +221,7 @@ class TestMinimizer:
         assert isinstance(batch[1], SingularJacobian)
         assert str(batch[1]) == "model is insensitive to every parameter"
         for k in (0, 2):
-            assert batch[k] == nlls_minimize(lambda xv, p: p[0] * xv,
+            assert batch[k] == nlls_minimize(lambda xv, p, rows: p[:, :1] * xv,
                                              Dataset(x=x, y=slopes[k] * x), [1.0])
             assert batch[k].parameters["p0"] == pytest.approx(slopes[k, 0], rel=1e-10)
 
@@ -240,8 +243,9 @@ class TestMinimizer:
         x = np.linspace(-3.0, 3.0, 30)
         data = Dataset(x=x, y=peak(x, 0.3, 0.8, 2.0, 0.1))
 
-        def model(xv, p):
-            return peak(xv, p[0], np.exp(p[1]), np.exp(p[2]), p[3])
+        def model(xv, p, rows):
+            center, log_width, log_amplitude, offset = p.T[:, :, None]
+            return peak(xv, center, np.exp(log_width), np.exp(log_amplitude), offset)
 
         res = nlls_minimize(model, data, [2.0, np.log(3.0), np.log(0.5), 0.0])
         assert not res.converged
@@ -259,7 +263,7 @@ class TestMinimizer:
     def test_too_few_points(self):
         data = Dataset(x=np.array([0.0, 1.0]), y=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            nlls_minimize(lambda xv, p: p[0] + p[1] * xv + p[2] * xv**2, data,
+            nlls_minimize(lambda xv, p, rows: p[:, :1] + p[:, 1:2] * xv + p[:, 2:] * xv**2, data,
                           [0.0, 0.0, 0.0])
 
     def test_dataset_validation(self):

@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +481,20 @@ class TestRabiTrace:
         assert fit.converged and fit.iterations <= 20
         assert fit.residual_sum <= 2.1176034641298546e-11
         assert "at_limit" in fit.warnings
+
+    def test_readme_quotes_the_noise_fits_at_limit(self, paper_rates):
+        # `rabi --fit --seed s` on the README config over the quoted noise seeds: the
+        # README count of fits flagged at_limit must follow any change to the fit
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        quoted = re.search(r"flags `at_limit` on (\d+) of the noise seeds 0–(\d+)", readme)
+        assert quoted, "README count of at_limit Rabi fits not found"
+        probe = 0.02 * M
+        times = np.linspace(0.0, 8.0 * np.pi / probe, 321)
+        trace = rabi_trace(paper_rates, probe, times)
+        flagged = sum("at_limit" in fit_damped_sinusoid(Dataset(
+            x=times * 1e9, y=add_noise(trace, 0.03, seed, 1, 0))).warnings
+            for seed in range(int(quoted.group(2)) + 1))
+        assert flagged == int(quoted.group(1))
 
     def test_non_uniform_times_match_expm_reference(self, paper_rates):
         probe = 3.0 * M
