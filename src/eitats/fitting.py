@@ -35,7 +35,6 @@ __all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimiz
            "fit_damped_sinusoid", "damped_sinusoid_curve"]
 
 MAX_ITERATIONS = 500
-FTOL = 1e-12
 RO_TOL = 1e-3
 FD_REL_STEP = 1e-6
 LOW_SIGNAL_FRACTION = 1e-4
@@ -128,11 +127,11 @@ def _solve(m, b):
         return np.where(singular[:, None], np.nan, step), singular
 
 
-def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
+def nlls_minimize(model, data: Dataset, init, lower=-np.inf) -> FitResult | FitBatch:
     """Minimize the sum of squared residuals of ``model(x, p, rows)`` against
     the data: the curves of the cells ``rows`` (which may repeat) at the
-    parameters ``p``, one row each.  ``init`` is ``(n,)`` for one curve and
-    ``(cells, n)`` for a stack.
+    parameters ``p >= lower``, one row each.  ``init`` is ``(n,)`` for one
+    curve and ``(cells, n)`` for a stack.
 
     Levenberg-Marquardt damping on the Gauss-Newton normal equations with a
     numerically differenced (central) Jacobian.  A rejected trial raises the
@@ -146,19 +145,21 @@ def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
     sqrt(t/n) / sqrt((f - t)/(N - n)) with t = g^T (J^T J)^-1 g over the n
     active parameters, is below ``RO_TOL``: no further step can move a
     parameter by more than that fraction of its confidence radius.  Noiseless
-    fits, where the offset is rounding noise, stop on an exact fit, on a
-    relative residual improvement below ``FTOL``, or on reaching a point no
-    damped step can improve.  Hitting ``MAX_ITERATIONS`` returns the best
-    point found with ``converged=False``.  A model insensitive to every
-    parameter at the start raises :class:`SingularJacobian`; one that becomes
-    so after accepted steps has reached a stationary point.  Parameters are
-    reported as ``p0, p1, ...``.
+    fits, where the offset is rounding noise, stop on an exact fit or on
+    reaching a point no damped step can improve.  Hitting ``MAX_ITERATIONS``
+    returns the best point found with ``converged=False``.  Trial points are
+    projected onto the bound, where a parameter whose gradient points out is
+    frozen, its Jacobian column zeroed.  A model insensitive to every parameter
+    at the start raises :class:`SingularJacobian`; one that becomes so after
+    accepted steps has reached a stationary point.  Parameters are reported as
+    ``p0, p1, ...``.
 
     In one flat loop, each cell still iterating makes one trial per model call
     and starts its next iteration as soon as a trial is accepted.
     """
     p = np.array(init, dtype=float, ndmin=2)
     cells, n_par = p.shape
+    lower = np.broadcast_to(lower, p.shape)
     _check_size(data, n_par)
     x, y = data.x, data.y.reshape(cells, -1)
     errors, eye, copies = {}, np.eye(n_par), 1 + 2 * n_par
@@ -197,6 +198,9 @@ def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
                 if not ok.all():
                     fail(cell[~ok], "Jacobian is not finite")
                 g = np.einsum("cpk,cp->ck", jac, r)
+                # a parameter on its bound whose gradient points out loses its column
+                keep = (q[at] > lower[cell]) | (g >= 0.0)
+                g, jac = g * keep, jac * keep[:, None, :]
                 jtj[at] = normal = np.einsum("cpk,cpl->ckl", jac, jac)
                 diag = np.diagonal(normal, axis1=1, axis2=2)
                 active = diag > 0.0
@@ -206,14 +210,17 @@ def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
                     fail(cell[insensitive], "model is insensitive to every parameter")
                     ok &= ~insensitive
                 # an exact fit, a model that progress has flattened, or a relative offset
-                # below RO_TOL over the active columns (a singular block gives NaN: no verdict)
-                t = np.einsum("ck,ck->c", g, _solve(normal + eye * ~active[:, None], g)[0])
+                # below RO_TOL over the active columns; no verdict from a singular block, nor
+                # from columns parallel to rounding (a difference form on its quadrant edge)
+                block = normal + eye * ~active[:, None]
+                t = np.einsum("ck,ck->c", g, _solve(block, g)[0])
+                t[np.linalg.det(block) < 1e-12 * np.einsum("ckk->ck", block).prod(1)] = np.nan
                 dof = active.sum(axis=1)
                 offset = np.sqrt(t / dof / ((f[at] - t) / (len(x) - dof)))
                 done = ok & ((f[at] == 0.0) | blind | (offset < RO_TOL))
                 converged[cell], leave[at], grad[at], finite_seen[at] = done, done | ~ok, g, False
                 # a parameter the model is momentarily blind to (zero column, e.g. a
-                # splitting at exactly zero) is frozen by full damping, not failed
+                # Rabi period clipped at its limit) is frozen by full damping, not failed
                 damping[at] = eye * np.where(diag > 0.0, diag, diag.max(1, keepdims=True))[:, None]
             if leave.any():  # report the rows that stop, and drop them
                 p[rows[leave]], rss[rows[leave]], stay = q[leave], f[leave], ~leave
@@ -224,20 +231,20 @@ def nlls_minimize(model, data: Dataset, init) -> FitResult | FitBatch:
             step, singular = _solve(jtj + lam[:, None, None] * damping, grad)
             if singular.any():
                 fail(rows[singular], "normal equations are singular")
-            q_try = q + step
+            q_try = np.maximum(q + step, lower[rows])
             r, f_try, jac = evaluate(q_try, rows)
             finite_seen |= np.isfinite(f_try)
             better = f_try < f
             # no damping level improves the residual: a numerical stationary
             # point when the landscape stayed finite, a failure otherwise
-            stop = np.where(better, f - f_try <= FTOL * np.maximum(f_try, 1e-300), finite_seen)
+            stop = ~better & finite_seen
             # the gain ratio rho of an accepted step: lam falls tenfold from rho = 0.98 up
             gain = (f - f_try) / np.einsum("ck,ck->c", step, grad + lam[:, None] * np.diagonal(
                 damping, axis1=1, axis2=2) * step)
             cut = np.fmax(0.1, 1.0 - (2.0 * gain - 1.0) ** 3)
             converged[rows], q[better], f[better] = stop, q_try[better], f_try[better]
             lam = np.where(better, np.maximum(lam * cut, 1e-14), lam * 10.0)
-            go_on = better & ~stop & ~singular & (iterations[rows] < MAX_ITERATIONS)
+            go_on = better & ~singular & (iterations[rows] < MAX_ITERATIONS)
             leave = (better | (lam >= 1e15) | singular) & ~go_on
             at, r, jac = np.flatnonzero(go_on), r[go_on], jac[:, go_on].transpose(1, 2, 0)
     return _unstack(data, [errors.get(c) or FitResult(
@@ -304,7 +311,8 @@ def _rss(curve, y):
 
 def _separable_fit(data: Dataset, families) -> list:
     """Variable-projection fits over the nonlinear parameters ``u``, per cell:
-    one result per ``(project, starts)`` family, all with one count of ``u``.
+    one result per ``(project, starts)`` family, all with one count of ``u``,
+    or per ``(project, starts, lower)`` family polished with ``u >= lower``.
 
     ``project(u, y)`` maps ``(..., n_u)`` parameters and ``(..., points)`` data,
     broadcast together, to the named parameters (``u`` mapped to the model's
@@ -317,10 +325,12 @@ def _separable_fit(data: Dataset, families) -> list:
     the family has an ``offset`` parameter.
     """
     y = data.y.reshape(-1, len(data))
-    cells, per_call, u, errors, converged = len(y), max(1, START_BLOCK // y.size), [], [], []
+    cells, per_call, u, lower, errors, converged = (
+        len(y), max(1, START_BLOCK // y.size), [], [], [], [])
     floor = LOW_SIGNAL_FRACTION * np.maximum(np.max(np.abs(y), axis=1), 1e-300)
-    for project, starts in families:
+    for project, starts, *edge in families:
         starts = np.array(starts, dtype=float)
+        lower.append(np.broadcast_to(edge[0] if edge else -np.inf, starts.shape[1:]))
         pick, best = np.zeros(cells, int), np.full(cells, np.inf)
         for first in range(0, len(starts), per_call):
             rss = _rss(project(starts[first:first + per_call, None], y)[1], y)
@@ -341,12 +351,13 @@ def _separable_fit(data: Dataset, families) -> list:
 
         def model(x, v, sub):  # each row's curve from its own family's projection
             curves, who = np.empty((sub.size, len(x))), owner[sub]
-            for f, (project, _) in enumerate(families):
+            for f, (project, *_) in enumerate(families):
                 if (mine := who == f).any():
                     curves[mine] = project(v[mine], stack[sub[mine]])[1]
             return curves
 
-        batch = nlls_minimize(model, Dataset(data.x, stack), u[owner, rows])
+        batch = nlls_minimize(model, Dataset(data.x, stack), u[owner, rows],
+                              lower=np.array(lower)[owner])
         for f, c, fit in zip(owner.tolist(), rows.tolist(), batch):
             if isinstance(fit, Exception):
                 errors[f][c] = fit
@@ -354,7 +365,7 @@ def _separable_fit(data: Dataset, families) -> list:
                 u[f, c] = list(fit.parameters.values())
                 converged[f, c], iterations[f, c] = fit.converged, fit.iterations
     results = []
-    for f, (project, _) in enumerate(families):
+    for f, (project, *_) in enumerate(families):
         params, curve = project(u[f], y)
         rss, low = _rss(curve, y), params.get("amplitude", np.inf) < floor
         results.append(_unstack(data, [errors[f].get(c) or FitResult(
@@ -388,11 +399,13 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
 
 
 def _reduced_forms(data: Dataset) -> list:
-    """The difference form's and the doublet form's ``(project, starts)``."""
+    """The difference form's and the doublet form's ``(project, starts, lower)``."""
     x, x2, span = data.x, data.x**2, max(-data.x[0], data.x[-1])
+    edge = (-np.inf, 0.0)
 
     def difference(u, y):
-        mean, split = _exp(u[..., 0]), np.maximum(_exp(u[..., 1]), MIN_SPLIT)
+        mean = _exp(u[..., 0])
+        split = np.maximum(np.expm1(np.sqrt(np.maximum(u[..., 1], 0.0))), MIN_SPLIT)
         gp, gm = mean * np.sqrt(1.0 + split), mean / np.sqrt(1.0 + split)
         broad, product, narrow = _difference_columns(x2, gp[..., None], gm[..., None])
         ab, curve = _lstsq(np.stack([broad, product], axis=-2), y)
@@ -409,25 +422,26 @@ def _reduced_forms(data: Dataset) -> list:
         return {"cplus_sq": cp, "cminus_sq": cm, "gamma_plus": gp, "gamma_minus": gm}, curve
 
     def doublet(u, y):
-        gamma, d0 = _exp(u[..., :1]), np.abs(u[..., 1:])
+        gamma, d0 = _exp(u[..., :1]), span * np.sqrt(np.maximum(u[..., 1:], 0.0))
         c_sq, curve = _lstsq(_doublet_column(x, gamma, d0)[..., None, :], y, nonneg=True)
         return {"c_sq": c_sq[..., 0], "gamma": gamma[..., 0], "delta_0": d0[..., 0]}, curve
 
     gp, gm = np.meshgrid(np.geomspace(span / 25.0, 1.2 * span, 10),
                          np.geomspace(span / 120.0, 0.6 * span, 10), indexing="ij")
     gp, gm = gp[gm < gp], gm[gm < gp]
-    d0, gamma = np.meshgrid(np.linspace(0.0, 0.9 * span, 10),
-                            np.geomspace(span / 60.0, span, 8), indexing="ij")
-    return [(difference, np.stack([0.5 * np.log(gp * gm), np.log(gp / gm - 1.0)], axis=1)),
-            (doublet, np.stack([np.log(gamma.ravel()), d0.ravel()], axis=1))]
+    d0, gamma = np.meshgrid(np.linspace(0.0, 0.9, 10), np.geomspace(span / 60.0, span, 8),
+                            indexing="ij")
+    return [(difference, np.stack([0.5 * np.log(gp * gm), np.log(gp / gm) ** 2], axis=1), edge),
+            (doublet, np.stack([np.log(gamma.ravel()), d0.ravel() ** 2], axis=1), edge)]
 
 
 def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
     """Fit the difference-of-Lorentzians form; k = 4 parameters.
 
-    The widths are searched as the logs of their geometric mean and of their
-    relative split gamma_plus/gamma_minus - 1, floored at ``MIN_SPLIT``.  At
-    fixed widths the amplitudes solve a two-column non-negative least-squares
+    The widths are searched as the log of their geometric mean and the square
+    of the log of their ratio (the residual is even in that log), bounded below
+    by 0, with the split gamma_plus/gamma_minus - 1 floored at ``MIN_SPLIT``.
+    At fixed widths the amplitudes solve a two-column non-negative least-squares
     problem, written in the divided-difference basis {1/(x^2+gp^2),
     1/((x^2+gp^2)(x^2+gm^2))} that stays well conditioned as the widths
     coincide; :func:`eitats.spectra.eit_model` redraws the fit in it.  The
@@ -440,9 +454,9 @@ def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
 def fit_ats_model(data: Dataset) -> FitResult | FitBatch:
     """Fit the shifted-doublet form; k = 3 parameters.
 
-    The width is searched in log coordinates and the half-splitting linearly
-    (as |.|) so it can reach 0; the common amplitude is a one-column
-    non-negative least-squares solve.
+    The width is searched in log coordinates and the half-splitting (the
+    residual is even in it) as its squared ratio to the span, bounded below by
+    0; the common amplitude is a one-column non-negative least-squares solve.
     """
     return _separable_fit(data, _reduced_forms(data)[1:])[0]
 
@@ -460,16 +474,18 @@ def damped_sinusoid_curve(t, offset, amplitude, decay_time, period, phase):
 def fit_damped_sinusoid(data: Dataset) -> FitResult:
     """Fit offset + amplitude * exp(-t/decay_time) * cos(2 pi t/period + phase).
 
-    Decay time and period are searched in log coordinates, held inside
-    physically resolvable ranges (past a limit the model stops changing).
-    On uniformly spaced times the model is a sum of three exponentials, so the
+    The decay time is searched as its log and the period P as ln(P / 2 dt)^2,
+    dt the time step, held inside physically resolvable ranges (past a limit
+    the model stops changing).  A period and its alias give the same samples,
+    so the fold at the Nyquist period 2 dt is the period's lower limit.  On
+    uniformly spaced times the model is a sum of three exponentials, so the
     poles of a matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38, 814 (1990))
-    of one small Hankel SVD are the starts, next to nine coarse ones.  The
-    offset is eliminated by centering the trace and the two oscillating
-    columns, leaving a two-column solve.  The amplitude is reported
-    non-negative, the phase in (-pi, pi].  A decay time or period on a limit,
-    to within the polish's step, is no measurement of it and flags the fit
-    ``at_limit``.  One trace at a time.
+    of one small Hankel SVD, but for a real negative one (the Nyquist
+    alternation), are the starts, next to nine coarse ones.  The offset is
+    eliminated by centering the trace and the two oscillating columns, leaving
+    a two-column solve.  The amplitude is reported non-negative, the phase in
+    (-pi, pi].  A decay time or period on a limit, to within the polish's step,
+    is no measurement of it and flags the fit ``at_limit``.  One trace at a time.
     """
     if data.y.ndim != 1:
         raise ValueError("damped-sinusoid fit takes one trace at a time, not a stack")
@@ -478,11 +494,15 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     min_dt = float(np.min(steps))
     if np.max(steps) - min_dt > 1e-9 * min_dt:
         raise ValueError("damped-sinusoid fit needs uniformly spaced times")
-    lo = np.log([0.05 * min_dt, 1.9 * min_dt])
-    hi = np.log([1e8 * span, 20.0 * span])
+
+    def fold(period):  # the period's coordinate, 0 at the Nyquist period
+        return np.log(period / (2.0 * min_dt)) ** 2
+
+    lo, hi = np.array([np.log(0.05 * min_dt), 0.0]), np.array([np.log(1e8 * span), fold(20 * span)])
 
     def project(u, y):
-        decay, period = (np.exp(np.clip(u[..., k], lo[k], hi[k])) for k in (0, 1))
+        u = np.clip(u, lo, hi)
+        decay, period = np.exp(u[..., 0]), 2.0 * min_dt * np.exp(np.sqrt(u[..., 1]))
         envelope, arg = np.exp(-t / decay[..., None]), 2.0 * np.pi * t / period[..., None]
         oscillation = np.stack([envelope * np.cos(arg), -envelope * np.sin(arg)], axis=-2)
         means, y_mean = oscillation.mean(axis=-1), y.mean(axis=-1)
@@ -497,13 +517,13 @@ def fit_damped_sinusoid(data: Dataset) -> FitResult:
     hankel = np.lib.stride_tricks.sliding_window_view(data.y, pencil + 1)
     v = np.linalg.svd(hankel, full_matrices=False)[2][:3].T
     z = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
-    z = z[z.imag >= 0.0]
+    z = z[(z.imag > 0.0) | (z.real > 0.0)]
     with np.errstate(divide="ignore"):  # |z| >= 1 or a real pole: the upper limit
         decay = np.where(np.abs(z) < 1.0, -min_dt / np.log(np.abs(z)), np.inf)
-        starts = np.log(np.c_[decay, 2.0 * np.pi * min_dt / np.abs(np.angle(z))])
-    coarse = [[np.log(span * d), np.log(span / n)] for d in (0.05, 0.3, 1.0) for n in (0.5, 2, 8)]
+        starts = np.c_[np.log(decay), fold(2.0 * np.pi * min_dt / np.abs(np.angle(z)))]
+    coarse = [[np.log(span * d), fold(span / n)] for d in (0.05, 0.3, 1.0) for n in (0.5, 2, 8)]
     fit = _separable_fit(data, [(project, np.r_[np.clip(starts, lo, hi), coarse])])[0]
-    u = np.log([fit.parameters["decay_time"], fit.parameters["period"]])
+    u = np.array([np.log(fit.parameters["decay_time"]), fold(fit.parameters["period"])])
     tol = FD_REL_STEP * np.maximum(np.abs([lo, hi]), 1.0)
     if np.any(u <= lo + tol[0]) or np.any(u >= hi - tol[1]):
         fit = replace(fit, warnings=fit.warnings + ("at_limit",))

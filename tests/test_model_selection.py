@@ -321,32 +321,57 @@ class TestCrossingThreshold:
 
 class TestScaleLaw:
     """The exact lineshape and both reduced forms depend on detunings, control
-    and rates only through their ratios, and every fit's start grid and floor
-    is relative.  So scaling the rates, the control grid and the detunings by
-    one factor c should scale the weight crossing by c.  Where the minimizer
-    stops is not unit-free on every spectrum (a difference-form fit can stop
-    short near ``MIN_SPLIT`` in one unit and not in another), so the sweep is
-    checked on the benchmark's own cells, and random rates check the spectra
-    that the fits see."""
+    and rates only through their ratios, every fit's start grid and floor is
+    relative, and the polish stops only on rules without an absolute scale.
+    So scaling the rates, the control grid and the detunings by one factor c
+    scales the weight crossing by c, on the benchmark's own cells and over
+    random rates alike."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(log_c=st.floats(math.log(0.1), math.log(10.0)))
-    def test_benchmark_cells_in_any_units(self, log_c):
-        # the README sweep's rates, span and grid, and its first 3 seeds at base
-        # seed 0: each cell's weight within 1e-6, the crossing within 1e-9
-        # (relative), and no crossing on the window's side of the grid either way
-        c = math.exp(log_c)
-        grid, detunings = np.linspace(2.0, 8.0, 13) * M, default_detuning_grid(61, 25 * M)
-        a, b = (weight_sweep(s * G10, s * G20, s * grid, noise_sigma=0.03, n_seeds=3,
-                             detunings=s * detunings) for s in (1.0, c))
+    @staticmethod
+    def check_sweeps(g10, g20, grid, detunings, c, base_seed=0):
+        # each cell's weight within 1e-6 and the crossing within 1e-9 (relative)
+        a, b = (weight_sweep(s * g10, s * g20, s * grid, noise_sigma=0.03, n_seeds=3,
+                             detunings=s * detunings, base_seed=base_seed) for s in (1.0, c))
         np.testing.assert_allclose(b.w_eit, a.w_eit, rtol=0.0, atol=1e-6)
         assert (b.n_failed == a.n_failed).all()
         crossings = [crossing_threshold(s.control_grid, s.w_eit_mean) for s in (a, b)]
         assert crossings[1].threshold / c == pytest.approx(crossings[0].threshold, rel=1e-9)
         assert crossings[1].multiple_crossings is crossings[0].multiple_crossings
-        for s in (a, b):
+        return a, b
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(log_c=st.floats(math.log(0.1), math.log(10.0)))
+    def test_benchmark_cells_in_any_units(self, log_c):
+        # the README sweep's rates, span and grid, and its first 3 seeds at base
+        # seed 0, with no crossing on the window's side of the grid either way
+        grid, detunings = np.linspace(2.0, 8.0, 13) * M, default_detuning_grid(61, 25 * M)
+        for s in self.check_sweeps(G10, G20, grid, detunings, math.exp(log_c)):
             with pytest.raises(NoCrossing):
                 crossing_threshold(s.control_grid[:4], s.w_eit_mean[:4])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(g10=st.floats(0.5, 5.0), ratio=st.floats(2.05, 8.0), window=st.booleans(),
+           base_seed=st.integers(0, 2**16), log_c=st.floats(math.log(0.1), math.log(10.0)))
+    def test_random_rates_in_any_units(self, g10, ratio, window, base_seed, log_c):
+        # feasible rates in MHz, the README span in units of gamma_20, and either
+        # the README grid in units of gamma_20 or 0.2-1.5 (gamma_20 - gamma_10)
+        g10 = g10 * M
+        g20 = ratio * g10
+        grid = (np.linspace(0.2, 1.5, 13) * (g20 - g10) if window
+                else np.linspace(2.0, 8.0, 13) / 6.90 * g20)
+        detunings = default_detuning_grid(61, 25.0 / 6.90 * g20)
+        self.check_sweeps(g10, g20, grid, detunings, math.exp(log_c), base_seed)
+
+    def test_difference_form_stops_at_its_minimum_in_any_units(self):
+        # a README-grid cell (5.5 MHz, base seed 63279, seed 2) whose difference-form
+        # minimum lies along the split floor, reached in steps that each improve the
+        # residual by under 1e-12 of itself
+        fits = [fit_eit_model(synth_spectrum(
+            c * G10, c * G20, c * 5.5 * M, c * default_detuning_grid(61, 25 * M),
+            noise_sigma=0.03, seed_parts=(63279, 7, 2))) for c in (0.1, 0.483, 1.0, 2.0, 10.0)]
+        assert all(fit.converged for fit in fits)
+        residuals = [fit.residual_sum for fit in fits]
+        assert residuals == pytest.approx([residuals[2]] * 5, rel=1e-9, abs=0.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(g10=st.floats(0.5, 5.0), ratio=st.floats(2.01, 8.0), span=st.floats(2.0, 8.0),
