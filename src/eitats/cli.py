@@ -232,7 +232,7 @@ def cmd_fit(args, config: ExperimentConfig) -> int:
                                        control_hint=_control_rad(args))
     elif args.model in ("eit", "ats"):
         eit_fit, ats_fit = fit_reduced_forms(data)
-        report = discriminate(data, eit_fit=eit_fit, ats_fit=ats_fit)
+        report = discriminate(eit_fit, ats_fit)
         result, own_weight = ((eit_fit, report.w_eit) if args.model == "eit"
                               else (ats_fit, report.w_ats))
         extra = {"model_weight": own_weight, "regime_warning": own_weight < 0.5}
@@ -244,7 +244,7 @@ def cmd_fit(args, config: ExperimentConfig) -> int:
 
 
 def cmd_discriminate(args, config: ExperimentConfig) -> int:
-    report = discriminate(read_spectrum_csv(args.input))
+    report = discriminate(*fit_reduced_forms(read_spectrum_csv(args.input)))
     write_json_report(_outdir(args, config) / "aic_report.json", asdict(report),
                       _provenance(config, "discriminate", None))
     return 0

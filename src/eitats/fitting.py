@@ -17,9 +17,10 @@ coordinates, until the relative offset of Bates & Watts (Technometrics 23, 179
 A :class:`Dataset` holds one curve or a ``(cells, points)`` stack, fitted in
 one pass: projections broadcast, so grid starts are scored against all cells
 at once, and one flat minimizer loop (over both reduced forms' cells in
-:func:`fit_reduced_forms`) gives each iterating cell one trial point per model
-call.  Rows meet only in per-row ``einsum`` reductions, elementwise operations
-and stacked solves, so each cell's fit is bit-identical to its curve's alone.
+:func:`fit_reduced_forms`, their only fit) gives each iterating cell one trial
+point per model call.  Rows meet only in per-row ``einsum`` reductions,
+elementwise operations and stacked solves, so each cell's fit is bit-identical
+to its curve's alone.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 from .spectra import _check_exact, _difference_columns, _doublet_column, _tprime
 
 __all__ = ["Dataset", "FitResult", "FitBatch", "SingularJacobian", "nlls_minimize",
-           "fit_exact_tprime_auto", "fit_eit_model", "fit_ats_model", "fit_reduced_forms",
-           "fit_damped_sinusoid", "damped_sinusoid_curve"]
+           "fit_exact_tprime_auto", "fit_reduced_forms", "fit_damped_sinusoid",
+           "damped_sinusoid_curve"]
 
 MAX_ITERATIONS = 500
 RO_TOL = 1e-3
@@ -398,8 +399,26 @@ def fit_exact_tprime_auto(data: Dataset, gamma_10: float, gamma_20: float,
     return _separable_fit(data, [(project, np.log(controls)[:, None])])[0]
 
 
-def _reduced_forms(data: Dataset) -> list:
-    """The difference form's and the doublet form's ``(project, starts, lower)``."""
+def fit_reduced_forms(data: Dataset) -> tuple:
+    """The difference-of-Lorentzians fit (k = 4 parameters) and the
+    shifted-doublet fit (k = 3) of ``data``, in one minimizer loop; each is,
+    bit for bit, the fit its form would make alone.
+
+    Difference form: the widths are searched as the log of their geometric mean
+    and the square of the log of their ratio (the residual is even in that log),
+    bounded below by 0, with the split gamma_plus/gamma_minus - 1 floored at
+    ``MIN_SPLIT``.  At fixed widths the amplitudes solve a two-column
+    non-negative least-squares problem, written in the divided-difference basis
+    {1/(x^2+gp^2), 1/((x^2+gp^2)(x^2+gm^2))} that stays well conditioned as the
+    widths coincide; :func:`eitats.spectra.eit_model` redraws the fit in it.
+    The fitted curve may go negative when forced onto doublet-regime data,
+    which is reported as-is rather than clamped.
+
+    Doublet form: the width is searched in log coordinates and the
+    half-splitting (the residual is even in it) as its squared ratio to the
+    span, bounded below by 0; the common amplitude is a one-column
+    non-negative least-squares solve.
+    """
     x, x2, span = data.x, data.x**2, max(-data.x[0], data.x[-1])
     edge = (-np.inf, 0.0)
 
@@ -431,39 +450,9 @@ def _reduced_forms(data: Dataset) -> list:
     gp, gm = gp[gm < gp], gm[gm < gp]
     d0, gamma = np.meshgrid(np.linspace(0.0, 0.9, 10), np.geomspace(span / 60.0, span, 8),
                             indexing="ij")
-    return [(difference, np.stack([0.5 * np.log(gp * gm), np.log(gp / gm) ** 2], axis=1), edge),
-            (doublet, np.stack([np.log(gamma.ravel()), d0.ravel() ** 2], axis=1), edge)]
-
-
-def fit_eit_model(data: Dataset) -> FitResult | FitBatch:
-    """Fit the difference-of-Lorentzians form; k = 4 parameters.
-
-    The widths are searched as the log of their geometric mean and the square
-    of the log of their ratio (the residual is even in that log), bounded below
-    by 0, with the split gamma_plus/gamma_minus - 1 floored at ``MIN_SPLIT``.
-    At fixed widths the amplitudes solve a two-column non-negative least-squares
-    problem, written in the divided-difference basis {1/(x^2+gp^2),
-    1/((x^2+gp^2)(x^2+gm^2))} that stays well conditioned as the widths
-    coincide; :func:`eitats.spectra.eit_model` redraws the fit in it.  The
-    fitted curve may go negative when forced onto doublet-regime data, which
-    is reported as-is rather than clamped.
-    """
-    return _separable_fit(data, _reduced_forms(data)[:1])[0]
-
-
-def fit_ats_model(data: Dataset) -> FitResult | FitBatch:
-    """Fit the shifted-doublet form; k = 3 parameters.
-
-    The width is searched in log coordinates and the half-splitting (the
-    residual is even in it) as its squared ratio to the span, bounded below by
-    0; the common amplitude is a one-column non-negative least-squares solve.
-    """
-    return _separable_fit(data, _reduced_forms(data)[1:])[0]
-
-
-def fit_reduced_forms(data: Dataset) -> tuple:
-    """``(fit_eit_model(data), fit_ats_model(data))``, bit for bit, in one loop."""
-    return tuple(_separable_fit(data, _reduced_forms(data)))
+    return tuple(_separable_fit(data, [
+        (difference, np.stack([0.5 * np.log(gp * gm), np.log(gp / gm) ** 2], axis=1), edge),
+        (doublet, np.stack([np.log(gamma.ravel()), d0.ravel() ** 2], axis=1), edge)]))
 
 
 def damped_sinusoid_curve(t, offset, amplitude, decay_time, period, phase):

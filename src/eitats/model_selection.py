@@ -1,9 +1,11 @@
 """Akaike-information-criterion discrimination of the two reduced lineshapes.
 
-For a fit with residual sum R over N points and k parameters (the fit's own
+A verdict scores the two fits of one spectrum, as
+:func:`eitats.fitting.fit_reduced_forms` returns them.  For a fit with residual
+sum R over N points and k parameters (the fit's own ``n_points`` and
 ``n_params``: four for the difference form and three for the doublet, after
-Anisimov, Dowling & Sanders, PRL 107, 163604 (2011)) the information
-loss is I = N ln(R/N) + 2k, with per-point value Ibar = I/N.  Relative model
+Anisimov, Dowling & Sanders, PRL 107, 163604 (2011)) the information loss is
+I = N ln(R/N) + 2k, with per-point value Ibar = I/N.  Relative model
 likelihoods follow from the standard Akaike weights exp(-I/2), normalized over
 the candidate pair; an exact fit (R = 0) carries a -inf sentinel and takes
 all the weight.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import Dataset, FitResult, SingularJacobian, fit_reduced_forms
+from .fitting import FitResult, SingularJacobian, fit_reduced_forms
 from .synth import synth_spectrum
 
 __all__ = ["AicReport", "WeightSweepResult", "CrossingResult", "NonPositiveResidual",
@@ -126,13 +128,12 @@ def akaike_weights(ibar_eit: float, ibar_ats: float) -> tuple[float, float]:
     return (small, big) if gap > 0 else (big, small)
 
 
-def discriminate(data: Dataset, eit_fit: FitResult | None = None,
-                 ats_fit: FitResult | None = None) -> AicReport:
-    """Fit both reduced models to one spectrum, unless given both their fits,
-    and report losses and weights."""
-    if eit_fit is None or ats_fit is None:
-        eit_fit, ats_fit = fit_reduced_forms(data)
-    n = len(data)
+def discriminate(eit_fit: FitResult, ats_fit: FitResult) -> AicReport:
+    """Losses and weights of one spectrum's difference-form and doublet-form
+    fits, as :func:`eitats.fitting.fit_reduced_forms` returns them."""
+    n = eit_fit.n_points
+    if ats_fit.n_points != n:
+        raise ValueError(f"fits of different spectra: {n} and {ats_fit.n_points} points")
     i_eit, i_ats = (aic(n, fit.residual_sum, fit.n_params) for fit in (eit_fit, ats_fit))
     return AicReport(i_eit, i_ats, i_eit / n, i_ats / n, *akaike_weights(i_eit, i_ats), n,
                      eit_fit.residual_sum, ats_fit.residual_sum, eit_fit.converged,
@@ -167,13 +168,13 @@ def weight_sweep(gamma_10: float, gamma_20: float, control_grid,
     shape = (control_grid.size, n_seeds)
     w_eit, r_eit, r_ats = np.full((3,) + shape, np.nan)
     converged, iterations = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=int)
-    for cell, y, eit, ats in zip(np.ndindex(shape), spectra.y, *fit_reduced_forms(spectra)):
+    for cell, eit, ats in zip(np.ndindex(shape), *fit_reduced_forms(spectra)):
         for fit in (eit, ats):
             if isinstance(fit, Exception) and not isinstance(fit, SingularJacobian):
                 raise fit
         if isinstance(eit, Exception) or isinstance(ats, Exception):
             continue
-        report = discriminate(Dataset(spectra.x, y), eit_fit=eit, ats_fit=ats)
+        report = discriminate(eit, ats)
         w_eit[cell], r_eit[cell], r_ats[cell] = report.w_eit, report.r_eit, report.r_ats
         converged[cell] = eit.converged and ats.converged
         iterations[cell] = eit.iterations + ats.iterations

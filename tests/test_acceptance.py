@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from eitats.cli import main as cli_main
-from eitats.fitting import Dataset, damped_sinusoid_curve, fit_damped_sinusoid, fit_exact_tprime_auto
+from eitats.fitting import (Dataset, damped_sinusoid_curve, fit_damped_sinusoid,
+                            fit_exact_tprime_auto, fit_reduced_forms)
 from eitats.lindblad import (
     DriveConfig,
     ThreeLevelRates,
@@ -84,7 +85,7 @@ def test_04_regime_classification():
     for seed in range(20):
         spectrum = synth_spectrum(G10, G20, 5.29 * M, noise_sigma=sigma,
                                   seed_parts=(4, 0, seed))
-        rep = discriminate(spectrum)
+        rep = discriminate(*fit_reduced_forms(spectrum))
         ratios.append(min(rep.r_eit, rep.r_ats) / rep.n_points / (3.0 * sigma**2))
     report(4, "regime fits",
            f"w_eit(2.06)={sweep_eit.w_eit_mean[0]:.4f}, "

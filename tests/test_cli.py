@@ -18,7 +18,7 @@ import eitats
 from eitats import cli
 from eitats.cli import main
 from eitats.config import parse_config_text
-from eitats.fitting import Dataset, damped_sinusoid_curve, fit_ats_model, fit_eit_model
+from eitats.fitting import Dataset, damped_sinusoid_curve, fit_reduced_forms
 from eitats.io_utils import (TWO_PI_MHZ, read_spectrum_csv, read_trace_csv,
                              write_spectrum_csv)
 from eitats.lindblad import DriveConfig, ThreeLevelRates, steady_state
@@ -294,7 +294,7 @@ class TestDiscriminateCommand:
         assert doc["k_eit"] == 4 and doc["k_ats"] == 3
         # each fit's convergence, as the library fits report it
         data = read_spectrum_csv(csv)
-        for model, fit in (("eit", fit_eit_model(data)), ("ats", fit_ats_model(data))):
+        for model, fit in zip(("eit", "ats"), fit_reduced_forms(data)):
             assert doc[f"converged_{model}"] is fit.converged is True
             assert doc[f"iterations_{model}"] == fit.iterations > 0
 

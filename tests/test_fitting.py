@@ -11,9 +11,7 @@ from eitats.fitting import (
     FitResult,
     SingularJacobian,
     damped_sinusoid_curve,
-    fit_ats_model,
     fit_damped_sinusoid,
-    fit_eit_model,
     fit_exact_tprime_auto,
     fit_reduced_forms,
     nlls_minimize,
@@ -254,8 +252,8 @@ class TestMinimizer:
 
     def test_determinism_bit_identical(self):
         data = noisy_spectrum(2.88, seed=4)
-        a = fit_eit_model(data)
-        b = fit_eit_model(data)
+        a = fit_reduced_forms(data)[0]
+        b = fit_reduced_forms(data)[0]
         assert a.parameters == b.parameters
         assert a.residual_sum == b.residual_sum
         assert a.iterations == b.iterations
@@ -300,18 +298,15 @@ class TestFamilyStack:
     @pytest.mark.parametrize("block", [1, 61, 1 << 14, 1 << 20])
     def test_start_block_does_not_move_a_bit(self, monkeypatch, block):
         # 13 cells on the README control grid: from one start per scoring call
-        # to every start in one call
+        # to every start in one call, for the stack and for one of its curves alone
         controls = np.linspace(2.0, 8.0, 13)
         stack = Dataset(x=noisy_spectrum(0.5, 0).x,
                         y=[noisy_spectrum(c, seed=k).y for k, c in enumerate(controls)])
-        reference = fit_eit_model(stack), fit_ats_model(stack)
+        reference = fit_reduced_forms(stack)
         monkeypatch.setattr(fitting, "START_BLOCK", block)
         assert fit_reduced_forms(stack) == reference
-        assert (fit_eit_model(stack), fit_ats_model(stack)) == reference
-
-    def test_reduced_forms_of_one_curve(self):
-        data = noisy_spectrum(5.29, seed=3)
-        assert fit_reduced_forms(data) == (fit_eit_model(data), fit_ats_model(data))
+        alone = fit_reduced_forms(Dataset(x=stack.x, y=stack.y[6]))
+        assert alone == (reference[0][6], reference[1][6])
 
 
 def two_columns(seed, points, cond, obtuse=False):
@@ -420,9 +415,7 @@ class TestNoFactorizationInTheProjection:
                         y=[noisy_spectrum(control, seed).y
                            for control in (0.5, 2.88, 9.0) for seed in range(2)])
         self.refuse_factorizations(monkeypatch)
-        for fit in (fit_eit_model, fit_ats_model,
-                    lambda data: fit_exact_tprime_auto(data, G10, G20)):
-            batch = fit(stack)
+        for batch in (*fit_reduced_forms(stack), fit_exact_tprime_auto(stack, G10, G20)):
             assert len(batch) == 6 and all(isinstance(c, FitResult) for c in batch)
 
     def test_damped_sinusoid_past_its_pencil_start(self, monkeypatch):
@@ -445,20 +438,21 @@ class _Captured(Exception):
     pass
 
 
-def family_projection(fit, data):
-    """The ``project`` and grid starts a fit hands to its separable core."""
+def family_projection(family, data):
+    """The ``project`` and grid starts of ``family`` as its fit hands them to
+    the separable core (the reduced forms' one fit hands over both)."""
     seen = []
 
     def capture(data, families):
-        (project, starts, *_), = families
-        seen.append((project, np.asarray(starts, dtype=float)))
+        seen.extend((project, np.asarray(starts, dtype=float))
+                    for project, starts, *_ in families)
         raise _Captured
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fitting, "_separable_fit", capture)
         with pytest.raises(_Captured):
-            fit(data)
-    return seen[0]
+            FAMILIES[family](data)
+    return seen[REDUCED.index(family) if family in REDUCED else 0]
 
 
 def same_bits(a, b):
@@ -466,10 +460,11 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+REDUCED = ("eit", "ats")  # the order of fit_reduced_forms's pair
 FAMILIES = {
     "exact": lambda data: fit_exact_tprime_auto(data, G10, G20),
-    "eit": fit_eit_model,
-    "ats": fit_ats_model,
+    "eit": lambda data: fit_reduced_forms(data)[0],
+    "ats": lambda data: fit_reduced_forms(data)[1],
     "damped_sinusoid": fit_damped_sinusoid,
 }
 
@@ -510,14 +505,14 @@ class TestBroadcastProjection:
     def test_block_of_starts_equals_tiled_rows(self, family, seed, cells, starts):
         rng = np.random.default_rng(seed)
         x, y = self.stack(family, rng, cells)
-        project, grid = family_projection(FAMILIES[family], Dataset(x=x, y=y[0]))
+        project, grid = family_projection(family, Dataset(x=x, y=y[0]))
         block = grid[rng.integers(len(grid), size=starts)]
         self.check(project, block + rng.normal(0.0, 0.3, block.shape), x, y)
 
     def test_difference_form_on_the_quadrant_edge(self):
         rng = np.random.default_rng(11)
         x, y = self.stack("eit", rng, 3)
-        project, grid = family_projection(fit_eit_model, Dataset(x=x, y=y[0]))
+        project, grid = family_projection("eit", Dataset(x=x, y=y[0]))
         params = self.check(project, grid, x, y)
         on_edge = (params["cplus_sq"] == 0.0) | (params["cminus_sq"] == 0.0)
         assert on_edge.any() and not on_edge.all()
@@ -596,31 +591,30 @@ class TestExactModelFit:
 class TestReducedModelFits:
     def test_window_regime_prefers_difference_form(self):
         data = noisy_spectrum(2.06, seed=10)
-        r_eit = fit_eit_model(data).residual_sum
-        r_ats = fit_ats_model(data).residual_sum
+        r_eit, r_ats = (fit.residual_sum for fit in fit_reduced_forms(data))
         assert r_eit < 0.75 * r_ats
 
     def test_doublet_regime_prefers_doublet_form(self):
         data = noisy_spectrum(19.7, seed=10)
-        r_eit = fit_eit_model(data).residual_sum
-        r_ats = fit_ats_model(data).residual_sum
+        r_eit, r_ats = (fit.residual_sum for fit in fit_reduced_forms(data))
         assert r_ats < 0.2 * r_eit
 
     def test_transition_regime_leaves_systematic_residual(self):
         sigma = 0.03
         data = noisy_spectrum(5.29, seed=10, sigma=sigma)
         n = len(data)
-        for fit in (fit_eit_model(data), fit_ats_model(data)):
+        for fit in fit_reduced_forms(data):
             assert fit.residual_sum / n > 3.0 * sigma**2
 
     def test_parameter_counts_for_information_criterion(self):
         data = noisy_spectrum(2.88, seed=3)
-        assert fit_eit_model(data).n_params == 4
-        assert fit_ats_model(data).n_params == 3
+        eit, ats = fit_reduced_forms(data)
+        assert eit.n_params == 4
+        assert ats.n_params == 3
 
     def test_eit_noiseless_reaches_numerical_floor(self):
         delta, y = exact_curve(2.06)
-        res = fit_eit_model(Dataset(x=delta, y=y))
+        res = fit_reduced_forms(Dataset(x=delta, y=y))[0]
         assert res.residual_sum < 1e-18 * float(y @ y)
 
     def test_ats_roundtrip(self):
@@ -628,7 +622,7 @@ class TestReducedModelFits:
         truth = {"c_sq": 2.5, "gamma": 4.3, "delta_0": 11.0}
         y = truth["c_sq"] / ((delta - truth["delta_0"]) ** 2 + truth["gamma"] ** 2)
         y = y + truth["c_sq"] / ((delta + truth["delta_0"]) ** 2 + truth["gamma"] ** 2)
-        res = fit_ats_model(Dataset(x=delta, y=y))
+        res = fit_reduced_forms(Dataset(x=delta, y=y))[1]
         for key, val in truth.items():
             assert res.parameters[key] == pytest.approx(val, rel=1e-3)
 
@@ -638,7 +632,7 @@ class TestReducedModelFits:
                  "gamma_minus": 1.5}
         y = (truth["cplus_sq"] / (delta**2 + truth["gamma_plus"] ** 2)
              - truth["cminus_sq"] / (delta**2 + truth["gamma_minus"] ** 2))
-        res = fit_eit_model(Dataset(x=delta, y=y))
+        res = fit_reduced_forms(Dataset(x=delta, y=y))[0]
         for key, val in truth.items():
             assert res.parameters[key] == pytest.approx(val, rel=1e-3)
 
@@ -648,16 +642,17 @@ class TestReducedModelFits:
         # polish still reaches the split minimum, at about half its residual
         data = synth_spectrum(G10, G20, 2.0, np.linspace(-25.0, 25.0, 61), noise_sigma=0.03,
                               seed_parts=(50, 0))
-        fit = fit_ats_model(data)
+        fit = fit_reduced_forms(data)[1]
         assert fit.converged and fit.residual_sum < 0.1
         assert fit.parameters["delta_0"] == pytest.approx(3.394, rel=1e-3)
 
     def test_flat_data_raises(self):
         data = Dataset(x=np.linspace(0, 1, 20), y=np.zeros(20))
         with pytest.raises(SingularJacobian):
-            fit_eit_model(data)
-        with pytest.raises(SingularJacobian):
-            fit_ats_model(data)
+            fit_reduced_forms(data)
+        # as a stack of one, each form's cell holds its own raise
+        for batch in fit_reduced_forms(Dataset(x=data.x, y=data.y[None])):
+            assert isinstance(batch[0], SingularJacobian)
 
 
 class TestDampedSinusoidFit:
@@ -733,7 +728,7 @@ class TestFitInvariants:
             cp = rng.uniform(2.0, 10.0)
             cm = rng.uniform(0.1, 0.9) * cp * gm**2 / gp**2
             y = cp / (x**2 + gp**2) - cm / (x**2 + gm**2)
-            res = fit_eit_model(Dataset(x=x, y=y))
+            res = fit_reduced_forms(Dataset(x=x, y=y))[0]
             for key, val in (("cplus_sq", cp), ("cminus_sq", cm),
                              ("gamma_plus", gp), ("gamma_minus", gm)):
                 assert res.parameters[key] == pytest.approx(val, rel=1e-3)
@@ -742,13 +737,13 @@ class TestFitInvariants:
             g = rng.uniform(1.0, 4.0)
             c = rng.uniform(0.5, 5.0)
             y = c / ((x - d0) ** 2 + g**2) + c / ((x + d0) ** 2 + g**2)
-            res = fit_ats_model(Dataset(x=x, y=y))
+            res = fit_reduced_forms(Dataset(x=x, y=y))[1]
             for key, val in (("c_sq", c), ("gamma", g), ("delta_0", d0)):
                 assert res.parameters[key] == pytest.approx(val, rel=1e-3)
 
     def test_converged_point_is_local_minimum(self):
         data = noisy_spectrum(2.88, seed=6)
-        res = fit_eit_model(data)
+        res = fit_reduced_forms(data)[0]
         assert res.converged
         base = res.parameters
 
@@ -772,7 +767,7 @@ class TestFitInvariants:
             for seed in range(2):
                 data = synth_spectrum(1.76 * mhz, 6.90 * mhz, control, detunings,
                                       noise_sigma=0.03, seed_parts=(0, i, seed))
-                eit, ats = fit_eit_model(data), fit_ats_model(data)
+                eit, ats = fit_reduced_forms(data)
                 for fit in (eit, ats):
                     assert fit.converged
                     assert fit.iterations < MAX_ITERATIONS
@@ -894,7 +889,12 @@ class TestRelativeOffsetStop:
             for fit, ref in zip(fits, reference):
                 assert fit.residual_sum <= ref.residual_sum * (1.0 + 1e-7)
             for (_, _, batch), (model, stack, ref_batch) in zip(runs, reference_runs):
-                for row, (fit, ref) in enumerate(zip(batch, ref_batch)):
+                rows = range(len(batch))
+                if family in REDUCED:  # the pair's one polish: difference rows, then doublet
+                    mine = sum(f.iterations > 0 for f in reference)
+                    rows = range(len(batch) - mine, len(batch)) if family == "ats" else range(mine)
+                for row in rows:
+                    fit, ref = batch[row], ref_batch[row]
                     u, u_ref = (np.array(list(f.parameters.values())) for f in (fit, ref))
                     sigma_sq = ref.residual_sum / (len(stack) - reference[0].n_params)
                     errors = standard_errors(model, stack, row, u_ref, sigma_sq)

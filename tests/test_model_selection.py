@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitats import fitting, model_selection
-from eitats.fitting import Dataset, FitBatch, SingularJacobian, fit_ats_model, fit_eit_model
+from eitats.fitting import Dataset, FitBatch, SingularJacobian, fit_reduced_forms
 from eitats.model_selection import (
     NoCrossing,
     NonPositiveResidual,
@@ -24,6 +25,12 @@ from eitats.synth import default_detuning_grid, synth_spectrum
 # angular units: rad/s with the grid span in the same scale
 M = 2.0 * np.pi * 1e6
 G10, G20 = 1.76 * M, 6.90 * M
+README_GRID = np.linspace(2.0, 8.0, 13) * M  # the README control grid
+
+
+def readme_text():
+    """The README with each run of whitespace as one space."""
+    return " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
 
 
 class TestAic:
@@ -100,19 +107,19 @@ class TestPerPointWeights:
 class TestDiscriminate:
     def test_noiseless_window_regime_takes_all_weight(self):
         s = synth_spectrum(G10, G20, 2.06 * M)
-        report = discriminate(s)
+        report = discriminate(*fit_reduced_forms(s))
         assert report.r_eit < 1e-15 * report.r_ats
         assert report.w_eit > 0.999999
         assert report.w_eit + report.w_ats == 1.0
 
     def test_noisy_doublet_regime(self):
         s = synth_spectrum(G10, G20, 19.7 * M, noise_sigma=0.03, seed_parts=(0,))
-        report = discriminate(s)
+        report = discriminate(*fit_reduced_forms(s))
         assert report.w_ats > 0.95
 
     def test_bookkeeping(self):
         s = synth_spectrum(G10, G20, 5.29 * M, noise_sigma=0.03, seed_parts=(1,))
-        report = discriminate(s)
+        report = discriminate(*fit_reduced_forms(s))
         assert report.n_points == 61
         assert report.k_eit == 4 and report.k_ats == 3
         assert report.ibar_eit == pytest.approx(report.i_eit / 61.0, rel=1e-12)
@@ -120,10 +127,19 @@ class TestDiscriminate:
     def test_non_finite_residual_loses(self):
         # a fit whose curve went non-finite reports a residual sum of +inf
         s = synth_spectrum(G10, G20, 2.06 * M, noise_sigma=0.03, seed_parts=(0,))
-        eit_fit, ats_fit = fit_eit_model(s), fit_ats_model(s)
-        report = discriminate(s, eit_fit=replace(eit_fit, residual_sum=math.inf),
-                              ats_fit=ats_fit)
+        eit_fit, ats_fit = fit_reduced_forms(s)
+        report = discriminate(replace(eit_fit, residual_sum=math.inf), ats_fit)
         assert (report.w_eit, report.w_ats) == (0.0, 1.0)
+
+    def test_fits_of_different_spectra_are_refused(self):
+        s = synth_spectrum(G10, G20, 2.06 * M, noise_sigma=0.03, seed_parts=(0,))
+        short = synth_spectrum(G10, G20, 2.06 * M, default_detuning_grid(41), noise_sigma=0.03,
+                               seed_parts=(0,))
+        eit_fit, ats_fit = fit_reduced_forms(s)
+        with pytest.raises(ValueError, match="^fits of different spectra: 61 and 41 points$"):
+            discriminate(eit_fit, fit_reduced_forms(short)[1])
+        with pytest.raises(ValueError, match="^fits of different spectra: 41 and 61 points$"):
+            discriminate(fit_reduced_forms(short)[0], ats_fit)
 
 
 class TestWeightSweep:
@@ -175,31 +191,48 @@ class TestWeightSweep:
 
 
 class TestBatchedSweep:
-    GRID = np.linspace(2.0, 8.0, 13) * M  # the README control grid
-
     def sweep(self, monkeypatch):
-        """weight_sweep on the README grid x 3 seeds, and the (spectrum, EIT
-        fit, ATS fit) of each cell as the batch hands them to discriminate."""
+        """weight_sweep on the README grid x 3 seeds, and the (EIT fit, ATS fit)
+        of each cell as the batch hands them to discriminate."""
         seen, original = [], model_selection.discriminate
 
-        def tap(spectrum, eit_fit=None, ats_fit=None):
-            seen.append((spectrum, eit_fit, ats_fit))
-            return original(spectrum, eit_fit=eit_fit, ats_fit=ats_fit)
+        def tap(eit_fit, ats_fit):
+            seen.append((eit_fit, ats_fit))
+            return original(eit_fit, ats_fit)
 
         monkeypatch.setattr(model_selection, "discriminate", tap)
-        return weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3), seen
+        return weight_sweep(G10, G20, README_GRID, noise_sigma=0.03, n_seeds=3), seen
 
     def test_each_cell_fits_as_if_alone(self, monkeypatch):
         res, seen = self.sweep(monkeypatch)
         assert len(seen) == res.w_eit.size == 39
-        for c, (data, eit, ats) in enumerate(seen):
+        for c, (eit, ats) in enumerate(seen):
+            cell = i, seed = divmod(c, 3)
+            alone = synth_spectrum(G10, G20, README_GRID[i], noise_sigma=0.03,
+                                   seed_parts=(0, i, seed))
             # parameters, residual_sum, iterations and converged, bit for bit
-            assert eit == fit_eit_model(data)
-            assert ats == fit_ats_model(data)
-            cell = divmod(c, 3)
+            assert (eit, ats) == fit_reduced_forms(alone)
             assert (res.r_eit[cell], res.r_ats[cell]) == (eit.residual_sum, ats.residual_sum)
             assert res.iterations[cell] == eit.iterations + ats.iterations
         assert res.converged.all() and not res.n_failed.any()
+
+    def test_no_dataset_per_cell(self, monkeypatch):
+        # each cell's verdict is made from its two fits: the datasets a sweep
+        # builds do not grow in number with its cells
+        built, post_init = [], Dataset.__post_init__
+
+        def counted(data):
+            built.append(data)
+            post_init(data)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counted)
+        counts = []
+        for n_seeds in (1, 3):
+            built.clear()
+            res = weight_sweep(G10, G20, README_GRID, noise_sigma=0.03, n_seeds=n_seeds)
+            assert not res.n_failed.any()
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_one_synthesis_and_one_minimizer_loop(self, monkeypatch):
         calls = {"synth_spectrum": 0, "nlls_minimize": 0}
@@ -208,24 +241,25 @@ class TestBatchedSweep:
                 calls[name] += 1
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        res = weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=1)
+        res = weight_sweep(G10, G20, README_GRID, noise_sigma=0.03, n_seeds=1)
         assert calls == {"synth_spectrum": 1, "nlls_minimize": 1}
         assert not res.n_failed.any()
         calls.update(nlls_minimize=0)
-        discriminate(synth_spectrum(G10, G20, 5.29 * M, noise_sigma=0.03, seed_parts=(1,)))
+        discriminate(*fit_reduced_forms(synth_spectrum(G10, G20, 5.29 * M, noise_sigma=0.03,
+                                                       seed_parts=(1,))))
         assert calls["nlls_minimize"] == 1
 
     def test_readme_quotes_the_benchmark_iteration_maxima(self):
         # the acceptance-test sweep (README grid, 25 seeds, base seed 0): the README
         # sentence on its fits must follow any change to the minimizer
-        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
         quoted = re.search(r"Every fit of the benchmark sweep converges, the difference form in "
-                           r"at most (\d+) iterations and the doublet form in at most (\d+);", readme)
+                           r"at most (\d+) iterations and the doublet form in at most (\d+);",
+                           readme_text())
         assert quoted, "README sentence on the benchmark sweep's iterations not found"
         spectra = [synth_spectrum(G10, G20, control, noise_sigma=0.03, seed_parts=(0, i, seed))
-                   for i, control in enumerate(self.GRID) for seed in range(25)]
+                   for i, control in enumerate(README_GRID) for seed in range(25)]
         stack = Dataset(x=spectra[0].x, y=[s.y for s in spectra])
-        fits = fit_eit_model(stack), fit_ats_model(stack)
+        fits = fit_reduced_forms(stack)
         assert all(batch.converged for batch in fits)
         assert [batch.iterations for batch in fits] == [int(n) for n in quoted.groups()]
 
@@ -240,10 +274,10 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(model_selection, "fit_reduced_forms", fit)
         with pytest.raises(ValueError, match="^model is not finite at the initial parameters$"):
-            weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3)
+            weight_sweep(G10, G20, README_GRID, noise_sigma=0.03, n_seeds=3)
 
     def test_zero_variance_cell_fails_alone(self, monkeypatch):
-        reference = weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3)
+        reference = weight_sweep(G10, G20, README_GRID, noise_sigma=0.03, n_seeds=3)
         original = model_selection.synth_spectrum
 
         def synth(*args, seed_parts, **kwargs):
@@ -253,14 +287,55 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(model_selection, "synth_spectrum", synth)
         with pytest.raises(SingularJacobian):
-            fit_eit_model(Dataset(x=np.arange(61.0), y=np.full(61, 0.5)))
-        res = weight_sweep(G10, G20, self.GRID, noise_sigma=0.03, n_seeds=3)
+            fit_reduced_forms(Dataset(x=np.arange(61.0), y=np.full(61, 0.5)))
+        res = weight_sweep(G10, G20, README_GRID, noise_sigma=0.03, n_seeds=3)
         assert res.n_failed.tolist() == [0, 0, 0, 0, 1] + [0] * 8
         kept = ~np.isnan(res.w_eit)
         assert kept.sum() == 38 and not res.converged[4, 1]
         for name in ("w_eit", "r_eit", "r_ats", "converged", "iterations"):
             assert np.array_equal(getattr(res, name)[kept], getattr(reference, name)[kept])
         assert res.w_eit_mean[4] == np.mean(reference.w_eit[4, [0, 2]])
+
+
+@functools.cache
+def benchmark_sweep(span_mhz, c=1.0):
+    """The README benchmark sweep (its rates and control grid, 25 seeds, base
+    seed 0, 61 detunings over +/-``span_mhz``) with every rate, control and
+    detuning scaled by ``c``, and its crossing."""
+    res = weight_sweep(c * G10, c * G20, c * README_GRID, noise_sigma=0.03, n_seeds=25,
+                       detunings=c * default_detuning_grid(61, span_mhz * M), base_seed=0)
+    return res, crossing_threshold(res.control_grid, res.w_eit_mean)
+
+
+class TestKnownBenchmarkDeviation:
+    """The figures the README's "Known benchmark deviation" section quotes
+    follow from the pipeline: each must follow any change to it."""
+
+    def test_span_table(self):
+        spans = re.search(r"\| detuning span \|((?: [^|]+ \|)+)", readme_text())
+        quoted = re.search(r"\| crossing \|((?: [\d.]+ MHz \|)+)", readme_text())
+        assert spans and quoted, "README span table not found"
+        spans = [int(v) for v in re.findall(r"\+/-(\d+) MHz", spans.group(1))]
+        quoted = re.findall(r"(\d+\.(\d+)) MHz", quoted.group(1))
+        assert spans == [10, 25, 50] and len(quoted) == 3
+        for span, (value, decimals) in zip(spans, quoted):
+            res, crossing = benchmark_sweep(span)
+            assert not res.n_failed.any() and not crossing.multiple_crossings
+            assert f"{crossing.threshold / M:.{len(decimals)}f}" == value, span
+
+    def test_scale_law_sentence(self):
+        quoted = re.search(r"by one factor c = ([\d.]+(?:, [\d.]+)* or [\d.]+) moves the "
+                           r"benchmark crossing by at most (\S+) of itself, and no cell's weight "
+                           r"by more than (\S+)\.", readme_text())
+        assert quoted, "README scale-law sentence not found"
+        factors = [float(v) for v in re.split(r", | or ", quoted.group(1))]
+        assert factors == [0.1, 0.37, 2.0, 10.0]
+        shift, weight_shift = float(quoted.group(2)), float(quoted.group(3))
+        res, crossing = benchmark_sweep(25)
+        for c in factors:
+            scaled, moved = benchmark_sweep(25, c)
+            assert abs(moved.threshold / c - crossing.threshold) <= shift * crossing.threshold
+            assert np.max(np.abs(scaled.w_eit - res.w_eit)) <= weight_shift
 
 
 class TestCrossingThreshold:
@@ -366,9 +441,9 @@ class TestScaleLaw:
         # a README-grid cell (5.5 MHz, base seed 63279, seed 2) whose difference-form
         # minimum lies along the split floor, reached in steps that each improve the
         # residual by under 1e-12 of itself
-        fits = [fit_eit_model(synth_spectrum(
+        fits = [fit_reduced_forms(synth_spectrum(
             c * G10, c * G20, c * 5.5 * M, c * default_detuning_grid(61, 25 * M),
-            noise_sigma=0.03, seed_parts=(63279, 7, 2))) for c in (0.1, 0.483, 1.0, 2.0, 10.0)]
+            noise_sigma=0.03, seed_parts=(63279, 7, 2)))[0] for c in (0.1, 0.483, 1.0, 2.0, 10.0)]
         assert all(fit.converged for fit in fits)
         residuals = [fit.residual_sum for fit in fits]
         assert residuals == pytest.approx([residuals[2]] * 5, rel=1e-9, abs=0.0)
